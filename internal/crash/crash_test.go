@@ -1,11 +1,14 @@
 package crash
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"uhtm/internal/core"
 	"uhtm/internal/mem"
+	"uhtm/internal/wal"
 )
 
 // requiredPoints is the full set of injection points the small workload
@@ -164,5 +167,70 @@ func TestInjectionDeterministic(t *testing.T) {
 	}
 	if !a.OK() {
 		t.Errorf("verdict: %s", a.Verdict)
+	}
+}
+
+// TestVerifyRecoveredDetectsTamperedLine: the committed-prefix oracle
+// accepts a correctly recovered machine and reports a durable data line
+// changed after recovery.
+func TestVerifyRecoveredDetectsTamperedLine(t *testing.T) {
+	w := SmallWorkload()
+	st := w.build(nil)
+	st.eng.Run()
+	st.m.Crash()
+	st.m.Recover()
+	if d := VerifyRecovered(st.m, w.Threads, st.baseline); d != "" {
+		t.Fatalf("clean recovery rejected: %s", d)
+	}
+	la := st.nvmPool[0]
+	ln := st.m.Store().PeekLine(la)
+	ln[0] ^= 0xFF
+	st.m.Store().WriteLine(la, &ln)
+	st.m.Store().PersistLine(la, &ln)
+	d := VerifyRecovered(st.m, w.Threads, st.baseline)
+	if want := fmt.Sprintf("line %#x", uint64(la)); !strings.Contains(d, want) {
+		t.Fatalf("tampered line: oracle said %q, want a report on %s", d, want)
+	}
+}
+
+// TestSweepVerifyDetectsMidCommitImageMismatch: a crash between a
+// transaction's durable commit mark and its commit-log registration
+// leaves a mid-commit transaction, whose effect the oracle rebuilds
+// from its durable redo images. The sweep's verify must reject those
+// images when they disagree with the intent the workload recorded.
+func TestSweepVerifyDetectsMidCommitImageMismatch(t *testing.T) {
+	w := SmallWorkload()
+	inj := Injection{Point: core.PointCommitFlush, Visit: 1}
+	if out := RunInjection(w, inj); !out.OK() {
+		t.Fatalf("untampered run: %s", out.Verdict)
+	}
+	in := Arm(inj)
+	st := w.build(in)
+	st.eng.Run()
+	if !in.Fired() {
+		t.Fatal("injection never fired")
+	}
+	in.Disarm()
+
+	committed := make(map[uint64]bool)
+	for _, c := range st.m.CommitLog() {
+		committed[c.ID] = true
+	}
+	var mid uint64
+	for _, r := range st.m.DurableRedoRecords() {
+		if r.Type == wal.RecCommit && r.LSN > st.m.Checkpoint() && !committed[r.TxID] {
+			mid = r.TxID
+		}
+	}
+	if mid == 0 {
+		t.Fatalf("no mid-commit transaction at %s visit %d", inj.Point, inj.Visit)
+	}
+	for la, v := range st.intents[mid] {
+		st.intents[mid][la] = v ^ 1
+		break
+	}
+	detail, _ := verify(w, st)
+	if want := fmt.Sprintf("mid-commit tx %d", mid); !strings.Contains(detail, want) {
+		t.Fatalf("tampered intent: verify said %q, want a report on %s", detail, want)
 	}
 }

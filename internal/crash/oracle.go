@@ -9,13 +9,12 @@ import (
 	"uhtm/internal/wal"
 )
 
-// The committed-prefix oracle, factored out of the sweep so other
-// crash consumers (the server's kill-and-restart tests, ad-hoc
-// recovery drills) can verify a machine they crashed themselves. The
-// sweep's verify() keeps its own copy of the logic because it also
-// checks sweep-internal bookkeeping (acked sets, per-run intents); this
-// exported form reconstructs mid-commit write images from the durable
-// redo records instead, so it needs nothing beyond the machine.
+// The committed-prefix oracle: the one image comparison every crash
+// consumer runs — the sweep's verify (after its sweep-only checks on
+// acked transactions, mid-commit intents and DRAM), the cluster sweep
+// per shard, and the server's kill-and-restart tests. It reconstructs
+// mid-commit write images from the durable redo records, so it needs
+// nothing beyond the machine and the pre-workload baseline.
 
 // Baseline deep-copies the durable NVM data image (log areas excluded).
 // Capture it before running the workload whose recovery will be
@@ -40,8 +39,8 @@ func Baseline(m *core.Machine) map[mem.Addr]mem.Line {
 // (one per core). Requires Options.TrackCommits on the machine.
 //
 // It returns "" when every invariant holds, else a description of the
-// violation. Unlike the sweep's internal verify, it does not check that
-// DRAM is empty — callers may already have rebuilt volatile indexes.
+// violation. It does not check that DRAM is empty — callers may already
+// have rebuilt volatile indexes.
 func VerifyRecovered(m *core.Machine, cores int, baseline map[mem.Addr]mem.Line) string {
 	committed := make(map[uint64]bool)
 	for _, c := range m.CommitLog() {

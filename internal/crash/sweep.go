@@ -1,6 +1,7 @@
 package crash
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -134,7 +135,7 @@ func (w Workload) build(in *Injector) *runState {
 	// Non-transactional setup is durable before any transaction runs —
 	// the formatted-heap state crash recovery falls back to.
 	m.Store().PersistLiveNVM()
-	st.baseline = m.Store().SnapshotDurable()
+	st.baseline = Baseline(m)
 	for t := 0; t < w.Threads; t++ {
 		t := t
 		eng.Spawn(fmt.Sprintf("crash-w%d", t), func(th *sim.Thread) {
@@ -288,26 +289,21 @@ func dataNVM(a mem.Addr) bool {
 }
 
 // verify crashes the machine, recovers it, and checks the recovered
-// state against the committed-prefix oracle. It returns "" when every
-// invariant holds, else a description of the violation.
+// state. The sweep-only checks use the ground truth the run recorded:
+// every acknowledged transaction reached the commit log, every durable
+// mid-commit mark belongs to a recorded intent whose values its durable
+// images carry, and no DRAM data survives. The image comparison itself
+// is VerifyRecovered's committed-prefix oracle. It returns "" when
+// every invariant holds, else a description of the violation.
 func verify(w Workload, st *runState) (detail string, replay wal.ReplayStats) {
 	m := st.m
 
-	// Ground truth recorded by the still-live machine: the committed
-	// transactions in commit (LSN) order with their exact write images.
-	type centry struct {
-		id     uint64
-		writes map[mem.Addr]mem.Line
-	}
-	var clog []centry
+	// An acknowledged commit always reached the commit log
+	// (finishCommit ran before the ack).
 	committed := make(map[uint64]bool)
 	for _, c := range m.CommitLog() {
-		clog = append(clog, centry{id: c.ID, writes: c.Writes})
 		committed[c.ID] = true
 	}
-
-	// Invariant 3 precondition: an acknowledged commit always reached
-	// the commit log (finishCommit ran before the ack).
 	for _, id := range st.acked {
 		if !committed[id] {
 			return fmt.Sprintf("acked tx %d missing from commit log", id), replay
@@ -318,101 +314,51 @@ func verify(w Workload, st *runState) (detail string, replay wal.ReplayStats) {
 	// recovery protocol's own effects.
 	m.Crash()
 
-	// Commit marks at or below the durable checkpoint are truncation
-	// leftovers: their transactions' data is persisted in place, and
-	// recovery ignores them (see core.ReclaimLogs).
+	// A durable commit mark above the checkpoint on a transaction that
+	// never registered in the commit log is a mid-commit transaction:
+	// past its durable mark but suspended before registering. Its
+	// durable redo images must be exactly its recorded intent — the
+	// oracle below reconstructs its effect from them.
 	ckpt := m.Checkpoint()
-	durable := make(map[uint64]uint64) // txID → commit LSN, from durable logs
-	abortedD := make(map[uint64]bool)
+	mid := make(map[uint64]bool)
+	images := make(map[uint64]map[mem.Addr]mem.Line)
 	for _, r := range m.DurableRedoRecords() {
 		switch r.Type {
 		case wal.RecCommit:
-			if _, ok := durable[r.TxID]; !ok && r.LSN > ckpt {
-				durable[r.TxID] = r.LSN
+			if r.LSN > ckpt && !committed[r.TxID] {
+				mid[r.TxID] = true
 			}
-		case wal.RecAbort:
-			abortedD[r.TxID] = true
 		case wal.RecWrite:
-			// Invariant 4: the redo log never references DRAM.
-			if !dataNVM(r.Addr) {
-				return fmt.Sprintf("redo record for tx %d addresses non-NVM-data line %#x", r.TxID, uint64(r.Addr)), replay
+			if images[r.TxID] == nil {
+				images[r.TxID] = make(map[mem.Addr]mem.Line)
 			}
+			images[r.TxID][r.Addr] = r.Data
 		}
 	}
-	for id := range abortedD {
-		if _, ok := durable[id]; ok || committed[id] {
-			return fmt.Sprintf("tx %d has both abort and commit marks", id), replay
-		}
-	}
-
-	// A durable commit mark either belongs to a fully committed
-	// transaction or to one that was mid-commit when the power failed:
-	// past its durable mark but suspended (at the commit latency charge)
-	// before registering in the commit log. At most one such transaction
-	// per core is possible; conflict detection guarantees their write
-	// sets are mutually disjoint.
-	var mid []uint64
-	for id := range durable {
-		if !committed[id] {
-			mid = append(mid, id)
-		}
-	}
-	if len(mid) > w.Threads {
-		return fmt.Sprintf("%d mid-commit txs have durable commit marks (at most %d cores)", len(mid), w.Threads), replay
-	}
-	sort.Slice(mid, func(i, j int) bool { return durable[mid[i]] < durable[mid[j]] })
-
-	replay = m.Recover().ReplayStats
-
-	// Committed-prefix oracle: baseline, then every completed commit in
-	// order, then the mid-commit transaction iff its mark is durable.
-	expected := make(map[mem.Addr]mem.Line, len(st.baseline))
-	for a, l := range st.baseline {
-		if dataNVM(a) {
-			expected[a] = l
-		}
-	}
-	for _, ce := range clog {
-		for la, ln := range ce.writes {
-			if dataNVM(la) {
-				expected[la] = ln
-			}
-		}
-	}
-	for _, id := range mid {
-		wmap, ok := st.intents[id]
+	for id := range mid {
+		intent, ok := st.intents[id]
 		if !ok {
 			return fmt.Sprintf("durable commit mark for unknown tx %d", id), replay
 		}
-		for la, v := range wmap {
-			ln := expected[la]
-			for i := 0; i < 8; i++ {
-				ln[i] = byte(v >> (8 * i))
+		if len(images[id]) != len(intent) {
+			return fmt.Sprintf("mid-commit tx %d: %d durable images for %d intended lines", id, len(images[id]), len(intent)), replay
+		}
+		for la, v := range intent {
+			want := st.baseline[la]
+			binary.LittleEndian.PutUint64(want[:8], v)
+			if got, ok := images[id][la]; !ok || got != want {
+				return fmt.Sprintf("mid-commit tx %d: durable image of line %#x is %x, intent %x", id, uint64(la), got, want), replay
 			}
-			expected[la] = ln
 		}
 	}
 
-	// Invariants 1–3: exact durable-image equality over all NVM data.
-	got := make(map[mem.Addr]mem.Line)
-	for a, l := range m.Store().SnapshotDurable() {
-		if dataNVM(a) {
-			got[a] = l
-		}
-	}
-	for a, want := range expected {
-		if got[a] != want {
-			return fmt.Sprintf("line %#x: durable %x, oracle %x", uint64(a), got[a], want), replay
-		}
-	}
-	for a, g := range got {
-		if _, ok := expected[a]; !ok && g != (mem.Line{}) {
-			return fmt.Sprintf("line %#x: unexpected durable data %x", uint64(a), g), replay
-		}
+	replay = m.Recover().ReplayStats
+	if d := VerifyRecovered(m, w.Threads, st.baseline); d != "" {
+		return d, replay
 	}
 
-	// Invariant 4: the DRAM side is gone — recovery rebuilds a live
-	// image containing nothing but recovered NVM data.
+	// The DRAM side is gone — recovery rebuilds a live image containing
+	// nothing but recovered NVM data.
 	for a, l := range m.Store().SnapshotLive() {
 		if mem.KindOf(a) == mem.DRAM && l != (mem.Line{}) {
 			return fmt.Sprintf("DRAM line %#x survived the crash", uint64(a)), replay

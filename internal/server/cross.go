@@ -20,9 +20,8 @@ import (
 // prepare records and the apply write set, which is exactly the
 // contract shard.SubmitCross needs to make the batch crash-atomic
 // across machines. Only NVM table state goes through the capture; DRAM
-// index maintenance runs in the apply callback, after the decision, so
-// redo records never address volatile memory (the committed-prefix
-// oracle rejects that).
+// index maintenance runs after the commit, so redo records never
+// address volatile memory (the committed-prefix oracle rejects that).
 
 // captureMem is a txds.Mem over a store that serves reads through its
 // pending write set and buffers writes as full line images, in
@@ -134,68 +133,60 @@ func (c *captureMem) writes() []shard.LineWrite {
 
 // runCross commits one multi-shard op batch through the 2PC
 // coordinator: each participant executes its ops against a captureMem
-// (reads see the batch's earlier writes), the buffered images prepare
-// and apply under the protocol, and the DRAM scan indexes absorb the
-// new keys in the apply callback. A halt before the commit decision
-// fails the request (the transaction vanished everywhere); a halt after
-// it still acknowledges — recovery completes the apply on every
-// participant, so the reply stays durable.
+// (reads see the batch's earlier writes; no simulated time is charged),
+// the buffered images prepare and apply under the protocol, and the
+// DRAM scan indexes absorb the new keys once it commits. A halt before
+// the durable commit decision fails the request (the transaction
+// vanished everywhere); a halt after it still acknowledges — recovery
+// completes the apply on every participant and rebuilds the indexes,
+// so the reply stays durable.
 func (s *Server) runCross(req *request) {
 	n := len(s.shards)
-	byShard := make([][]int, n)
-	for i, op := range req.ops {
-		k := shard.ShardOf(op.Key, n)
-		byShard[k] = append(byShard[k], i)
-	}
-	var parts []int
-	for k := 0; k < n; k++ {
-		if len(byShard[k]) > 0 {
-			parts = append(parts, k)
-		}
-	}
 	req.results = make([]OpResult, len(req.ops))
-	puts := make([][]uint64, n)
+	writes := make([][]shard.LineWrite, n)
+	cms := make([]*captureMem, n)
+	var puts []uint64
 	s.batches++
 	s.requests++
-
-	exec := func(k int, th *sim.Thread) []shard.LineWrite {
+	for i, op := range req.ops {
+		k := shard.ShardOf(op.Key, n)
 		st := s.stores[k]
-		cm := newCaptureMem(st.m.Store())
-		for _, i := range byShard[k] {
-			op := req.ops[i]
-			switch op.Kind {
-			case OpGet:
-				v, ok := st.table.Get(cm, op.Key)
-				req.results[i] = OpResult{Val: v, Found: ok}
-			case OpPut:
-				st.table.Put(cm, op.Key, op.Val)
-				puts[k] = append(puts[k], op.Key)
-				req.results[i] = OpResult{Written: true}
-			case OpDel:
-				req.results[i] = OpResult{Found: st.table.Delete(cm, op.Key)}
-			default:
-				panic("server: scan routed to the cross-shard path")
-			}
+		if cms[k] == nil {
+			cms[k] = newCaptureMem(st.m.Store())
 		}
-		return cm.writes()
-	}
-	applied := func(k int, th *sim.Thread) {
-		st := s.stores[k]
-		mst := st.m.Store()
-		for _, key := range puts[k] {
-			st.index.Put(mst, key, nil)
+		switch op.Kind {
+		case OpGet:
+			v, ok := st.table.Get(cms[k], op.Key)
+			req.results[i] = OpResult{Val: v, Found: ok}
+		case OpPut:
+			st.table.Put(cms[k], op.Key, op.Val)
+			puts = append(puts, op.Key)
+			req.results[i] = OpResult{Written: true}
+		case OpDel:
+			req.results[i] = OpResult{Found: st.table.Delete(cms[k], op.Key)}
+		default:
+			panic("server: scan routed to the cross-shard path")
 		}
 	}
-	decided, halted := s.cluster.SubmitCross(parts, exec, applied)
-	if halted {
-		s.recoverAfterHalt()
-		if !decided {
-			req.err = errLostPower
-		} else {
-			req.applied = true // recovery completed the decided commit
+	for k, cm := range cms {
+		if cm != nil {
+			writes[k] = cm.writes()
 		}
-	} else {
+	}
+	decided, halted := s.cluster.SubmitCross(writes)
+	switch {
+	case !halted:
+		for _, key := range puts {
+			st := s.stores[shard.ShardOf(key, n)]
+			st.index.Put(st.m.Store(), key, nil)
+		}
 		req.applied = true
+	case decided:
+		s.recoverAfterHalt()
+		req.applied = true // recovery completed the decided commit
+	default:
+		s.recoverAfterHalt()
+		req.err = errLostPower
 	}
 	close(req.done)
 }

@@ -11,6 +11,7 @@ import (
 	"uhtm/internal/crash"
 	"uhtm/internal/mem"
 	"uhtm/internal/shard"
+	"uhtm/internal/wal"
 )
 
 // keysOnShard returns the first n keys at or above start whose home
@@ -166,78 +167,96 @@ func TestCrossShardMultiAtomicityUnderCrash(t *testing.T) {
 	}
 }
 
-// TestHaltMidCrossRecovery injects power failures inside the 2PC
-// protocol itself from the serving path: before the decision the request
-// fails and leaves no trace; after the decision the request is acked and
-// recovery completes it everywhere.
+// TestHaltMidCrossRecovery injects a power failure at every 2PC
+// injection point a served cross-shard EXEC fires — the five shard.Point*
+// steps and the coordinator decision log's own points — on each shard
+// that fires it. Before the commit decision is durable the request fails
+// with lost power and neither key changes; from the durable decision on
+// the request is acked and recovery completes it on both shards. Either
+// way every shard passes the committed-prefix oracle and the cluster
+// commits again afterwards.
 func TestHaltMidCrossRecovery(t *testing.T) {
-	k0 := keysOnShard(0, 2, 1, 500)[0]
-	k1 := keysOnShard(1, 2, 1, 500)[0]
+	k0 := strconv.FormatUint(keysOnShard(0, 2, 1, 500)[0], 10)
+	k1 := strconv.FormatUint(keysOnShard(1, 2, 1, 500)[0], 10)
+	dec := func(p string) string { return shard.PointPrefixDecision + p }
+	type halt struct {
+		shard int
+		point string
+	}
+	for _, group := range []struct {
+		name  string
+		acked bool
+		halts []halt
+	}{
+		{"before-decision", false, []halt{
+			{0, shard.PointPrepareLogged}, {1, shard.PointPrepareLogged},
+			{0, dec(wal.PointAppendRecord)}, {0, dec(wal.PointAppendCtrl)},
+		}},
+		{"after-decision", true, []halt{
+			{0, shard.PointDecisionLogged},
+			{0, shard.PointApplyMark}, {1, shard.PointApplyMark},
+			{0, shard.PointApplyLine}, {1, shard.PointApplyLine},
+			{0, shard.PointResolveCkpt}, {0, dec(wal.PointReclaimCtrl)},
+		}},
+	} {
+		t.Run(group.name, func(t *testing.T) {
+			for _, h := range group.halts {
+				t.Run(fmt.Sprintf("s%d.%s", h.shard, h.point), func(t *testing.T) {
+					s := startServer(t, Config{Shards: 2, Cores: 2, Buckets: 64})
+					c := dialT(t, s)
+					mustDo(t, c, "PUT", k0, "old-a")
+					mustDo(t, c, "PUT", k1, "old-b")
+					baselines := shardBaselines(s)
 
-	t.Run("before-decision", func(t *testing.T) {
-		s := startServer(t, Config{Shards: 2, Cores: 2, Buckets: 64})
-		in := crash.Arm(crash.Injection{Point: shard.PointPrepareLogged, Visit: 1})
-		in.SetHalt(s.Cluster().Shards()[1].Engine().HaltNow)
-		s.Cluster().SetHook(1, in.Hit)
-		c := dialT(t, s)
+					in := crash.Arm(crash.Injection{Point: h.point, Visit: 1})
+					in.SetHalt(s.Cluster().Shards()[h.shard].Engine().HaltNow)
+					s.Cluster().SetHook(h.shard, in.Hit)
+					mustDo(t, c, "MULTI")
+					mustDo(t, c, "PUT", k0, "new-a")
+					mustDo(t, c, "PUT", k1, "new-b")
+					rep := mustDo(t, c, "EXEC")
+					if !in.Fired() {
+						t.Fatal("injection never fired")
+					}
+					in.Disarm()
+					acked := rep.Kind == ReplyArray
+					lost := rep.Kind == ReplyErr && strings.Contains(rep.Str, "lost power")
+					if !acked && !lost {
+						t.Fatalf("EXEC across the halt → %+v, want an ack or a lost-power error", rep)
+					}
+					if acked != group.acked {
+						t.Fatalf("EXEC across the halt acked=%v, want %v (%+v)", acked, group.acked, rep)
+					}
 
-		mustDo(t, c, "MULTI")
-		mustDo(t, c, "PUT", strconv.FormatUint(k0, 10), "doomed-a")
-		mustDo(t, c, "PUT", strconv.FormatUint(k1, 10), "doomed-b")
-		rep := mustDo(t, c, "EXEC")
-		if rep.Kind != ReplyErr || !strings.Contains(rep.Str, "lost power") {
-			t.Fatalf("EXEC across the halt → %+v, want lost-power error", rep)
-		}
-		if !in.Fired() {
-			t.Fatal("injection never fired")
-		}
-		in.Disarm()
+					want := map[string]string{k0: "old-a", k1: "old-b"}
+					if acked {
+						want = map[string]string{k0: "new-a", k1: "new-b"}
+					}
+					for k, v := range want {
+						if rep := mustDo(t, c, "GET", k); string(rep.Bulk) != v {
+							t.Fatalf("GET %s after recovery → %+v, want %q (acked=%v)", k, rep, v, acked)
+						}
+					}
+					for k, sh := range s.shards {
+						if d := crash.VerifyRecovered(sh.Machine(), 4, baselines[k]); d != "" {
+							t.Fatalf("shard %d committed-prefix oracle: %s", k, d)
+						}
+					}
 
-		// The undecided transaction vanished on both shards.
-		for _, k := range []uint64{k0, k1} {
-			if rep := mustDo(t, c, "GET", strconv.FormatUint(k, 10)); !rep.Nil {
-				t.Fatalf("unacked key %d visible after recovery: %+v", k, rep)
+					// The recovered cluster commits the retry.
+					mustDo(t, c, "MULTI")
+					mustDo(t, c, "PUT", k0, "retry-a")
+					mustDo(t, c, "PUT", k1, "retry-b")
+					if rep := mustDo(t, c, "EXEC"); rep.Kind != ReplyArray {
+						t.Fatalf("retry EXEC → %+v", rep)
+					}
+					if rep := mustDo(t, c, "GET", k1); string(rep.Bulk) != "retry-b" {
+						t.Fatalf("GET after retry → %+v", rep)
+					}
+				})
 			}
-		}
-		// The retry commits.
-		mustDo(t, c, "MULTI")
-		mustDo(t, c, "PUT", strconv.FormatUint(k0, 10), "retry-a")
-		mustDo(t, c, "PUT", strconv.FormatUint(k1, 10), "retry-b")
-		if rep := mustDo(t, c, "EXEC"); rep.Kind != ReplyArray {
-			t.Fatalf("retry EXEC → %+v", rep)
-		}
-		if rep := mustDo(t, c, "GET", strconv.FormatUint(k1, 10)); string(rep.Bulk) != "retry-b" {
-			t.Fatalf("GET after retry → %+v", rep)
-		}
-	})
-
-	t.Run("after-decision", func(t *testing.T) {
-		s := startServer(t, Config{Shards: 2, Cores: 2, Buckets: 64})
-		in := crash.Arm(crash.Injection{Point: shard.PointApplyMark, Visit: 1})
-		in.SetHalt(s.Cluster().Shards()[1].Engine().HaltNow)
-		s.Cluster().SetHook(1, in.Hit)
-		c := dialT(t, s)
-
-		mustDo(t, c, "MULTI")
-		mustDo(t, c, "PUT", strconv.FormatUint(k0, 10), "decided-a")
-		mustDo(t, c, "PUT", strconv.FormatUint(k1, 10), "decided-b")
-		rep := mustDo(t, c, "EXEC")
-		if rep.Kind != ReplyArray {
-			t.Fatalf("EXEC with a durable decision → %+v, want success (recovery completes it)", rep)
-		}
-		if !in.Fired() {
-			t.Fatal("injection never fired")
-		}
-		in.Disarm()
-
-		// The acked transaction is applied on both shards.
-		if rep := mustDo(t, c, "GET", strconv.FormatUint(k0, 10)); string(rep.Bulk) != "decided-a" {
-			t.Fatalf("GET %d → %+v", k0, rep)
-		}
-		if rep := mustDo(t, c, "GET", strconv.FormatUint(k1, 10)); string(rep.Bulk) != "decided-b" {
-			t.Fatalf("GET %d → %+v", k1, rep)
-		}
-	})
+		})
+	}
 }
 
 // TestLoadgenCrossFrac drives the generator's cross-shard knob against a

@@ -1,11 +1,7 @@
 package shard
 
 import (
-	"sort"
-
 	"uhtm/internal/mem"
-	"uhtm/internal/sim"
-	"uhtm/internal/wal"
 )
 
 // This file is the serving-facing surface of the cluster: where the
@@ -13,8 +9,7 @@ import (
 // transactions, a long-lived server routes externally arriving requests
 // — single-shard batches through each shard's session, multi-shard
 // MULTI…EXEC batches through SubmitCross — and recovers the whole
-// cluster from durable evidence alone (RecoverServing), because a
-// server has no ground-truth wave record to lean on.
+// cluster with Recover after any power failure.
 
 // NewServing builds a cluster for a serving front-end: shards with
 // engines, machines and sessions but no canned NVM pools and no
@@ -48,297 +43,35 @@ func ShardOf(key uint64, shards int) int {
 	return int(x % uint64(shards))
 }
 
-// Do runs bodies as one session batch on the shard (harness.Session.Do
-// semantics: fresh threads at the engine's current virtual time) and
-// reports whether the engine halted mid-batch.
-func (sh *Shard) Do(name string, bodies ...func(*sim.Thread)) bool {
-	_, halted := sh.sess.Do(name, bodies...)
-	return halted
-}
-
-// Restart reboots the shard's session after a halt (the caller recovers
-// the machine first).
-func (sh *Shard) Restart() {
-	sh.sess.Restart()
-}
-
-// Fanout runs f once per listed shard on the harness worker pool and
-// reports whether any shard halted. It is the exported form of the
-// cluster's internal phase barrier, for callers (the server's engine
-// loop) that drive their own waves.
-func (c *Cluster) Fanout(shards []*Shard, f func(sh *Shard) bool) bool {
-	return c.fanout(shards, f)
-}
-
-// LineWrite is one full-line NVM write of a cross-shard transaction:
-// the image captured at prepare time and reused verbatim by apply and
-// recovery, so the durable log and the in-place update can never
-// disagree.
-type LineWrite struct {
-	// Addr is the line base address (64-byte aligned).
-	Addr mem.Addr
-	// Img is the complete post-transaction line image.
-	Img mem.Line
-}
-
-// SubmitCross commits one externally supplied cross-shard transaction
-// through the 2PC coordinator. exec runs once per participant shard on
-// a simulated thread and returns that shard's line-granular write set
-// (empty for read-only participants); when at least one participant
-// wrote, the full protocol runs — durable prepare records on every
-// writer's ring 0, a durable commit decision in the coordinator log, a
-// mark-first apply on every writer, and the resolution-cell advance —
-// firing the same injection points as the canned wave driver. applied,
-// when non-nil, runs on each writer's apply thread after its images are
-// in place (volatile index maintenance). Unlike the canned driver there
-// is no admission control: the engine loop serializes cross
-// transactions, so every written transaction is decided commit.
+// SubmitCross commits one externally executed cross-shard transaction
+// as a one-transaction wave of the canned driver's commit protocol,
+// firing the same injection points, then advances the resolution cell
+// (ring reclamation is left to the shards' ordinary checkpoints — replay
+// of an already-applied cross transaction is idempotent). writes holds
+// one line-granular write set per shard, empty for shards the
+// transaction did not write. There is no admission control: the caller
+// serializes cross transactions, so every written transaction is
+// decided commit. A transaction with no writes skips the protocol.
 //
-// decided reports whether a durable commit decision was logged (false
-// for read-only transactions, which skip the protocol); halted reports
-// an injected crash. A halted-but-decided transaction is guaranteed to
-// complete on every participant during RecoverServing, so the caller
-// may still acknowledge it.
-func (c *Cluster) SubmitCross(parts []int, exec func(k int, th *sim.Thread) []LineWrite, applied func(k int, th *sim.Thread)) (decided, halted bool) {
+// decided reports whether the commit decision is durable; halted
+// reports an injected crash. A halted-but-decided transaction completes
+// on every writer during Recover, so the caller may still acknowledge
+// it; a halted undecided one vanishes everywhere.
+func (c *Cluster) SubmitCross(writes [][]LineWrite) (decided, halted bool) {
 	if c.decLog == nil {
 		panic("shard: SubmitCross on a single-shard cluster")
 	}
+	if len(writes) != len(c.shards) {
+		panic("shard: SubmitCross needs one write set per shard")
+	}
 	c.seq++
-	seq := c.seq
-	gid := GIDBase | seq
-	pshs := make([]*Shard, len(parts))
-	for i, k := range parts {
-		pshs[i] = c.shards[k]
-	}
-	ws := make([][]LineWrite, len(c.shards))
-
-	// Phase 1: execute on every participant and durably prepare the
-	// writers (RecWrite images + the RecPrepare mark on ring 0).
-	if c.fanout(pshs, func(sh *Shard) bool {
-		return sh.Do("cross.prepare", func(th *sim.Thread) {
-			w := exec(sh.id, th)
-			ws[sh.id] = w
-			if len(w) == 0 {
-				return
-			}
-			ring := sh.m.RedoLog(0)
-			for i := range w {
-				ring.Append(wal.Record{Type: wal.RecWrite, TxID: gid, Addr: w[i].Addr, Data: w[i].Img})
-				th.Advance(prepareLatPerRec)
-			}
-			ring.Append(wal.Record{Type: wal.RecPrepare, TxID: gid})
-			th.Advance(prepareLatPerRec)
-			sh.hit(PointPrepareLogged)
-		})
-	}) {
-		c.halted = true
-		return false, true
-	}
-	var writers []*Shard
-	for _, sh := range pshs {
-		if len(ws[sh.id]) > 0 {
-			writers = append(writers, sh)
-		}
-	}
-	if len(writers) == 0 {
+	tx := &crossTx{gid: GIDBase | c.seq, seq: c.seq, writes: writes, admitted: true}
+	wave := []*crossTx{tx}
+	if len(c.writers(wave)) == 0 {
 		return false, false // read-only: nothing to decide or apply
 	}
-
-	// Phase 2: durable commit decision on shard 0, causally after every
-	// prepare.
-	tmax := c.maxNow()
-	if c.fanout(c.shards[:1], func(sh *Shard) bool {
-		return sh.Do("cross.decide", func(th *sim.Thread) {
-			advanceTo(th, tmax)
-			th.Advance(coordHopLat)
-			c.decLog.Append(wal.Record{Type: wal.RecCommit, TxID: gid, LSN: seq})
-			th.Advance(decisionLatPerTx)
-			sh.hit(PointDecisionLogged)
-		})
-	}) {
-		c.halted = true
-		return false, true
+	if c.commit(wave); !c.halted {
+		c.resolve(tx.seq)
 	}
-	c.crossCommits++
-
-	// Phase 3: mark-first apply on every writer. From here the outcome
-	// is fixed: a crash leaves the durable decision, and RecoverServing
-	// completes the apply from the prepare images.
-	tdec := c.shards[0].eng.Now()
-	if c.fanout(writers, func(sh *Shard) bool {
-		return sh.Do("cross.apply", func(th *sim.Thread) {
-			advanceTo(th, tdec)
-			th.Advance(coordHopLat)
-			st := sh.m.Store()
-			ring := sh.m.RedoLog(0)
-			sh.hit(PointApplyMark)
-			ring.Append(wal.Record{Type: wal.RecCommit, TxID: gid, LSN: sh.m.NextLSN()})
-			writes := make(map[mem.Addr]mem.Line, len(ws[sh.id]))
-			for _, w := range ws[sh.id] {
-				sh.hit(PointApplyLine)
-				img := w.Img
-				st.WriteLine(w.Addr, &img)
-				st.PersistLine(w.Addr, &img)
-				writes[w.Addr] = img
-				th.Advance(applyLatPerLine)
-			}
-			sh.m.NoteCommit(gid, 0, writes)
-			if applied != nil {
-				applied(sh.id, th)
-			}
-		})
-	}) {
-		c.halted = true
-		return true, true
-	}
-
-	// Phase 4: resolution-cell advance + decision-log truncation. Ring
-	// reclamation is left to the shards' ordinary background checkpoints
-	// — replay of an already-applied cross transaction is idempotent
-	// (same images).
-	if c.fanout(c.shards[:1], func(sh *Shard) bool { return c.resolve(sh, seq) }) {
-		c.halted = true
-		return true, true
-	}
-	return true, false
-}
-
-// RecoverServing performs cluster-wide crash recovery from durable
-// evidence alone — the serving counterpart of Recover, which leans on
-// the canned driver's ground-truth wave record. Every shard's machine
-// crashes and replays its own rings; then the coordinator's decision
-// log drives a completion pass that finishes every decided-commit
-// transaction on every participant from the durable prepare images
-// (RecWrite records carry the full line image, so no other source is
-// needed). Undecided prepared transactions vanish everywhere. The GID
-// sequence is bumped past every durably observed sequence so new
-// transactions never reuse an ID.
-func (c *Cluster) RecoverServing() Recovery {
-	rec := Recovery{
-		DecidedCommit: make(map[uint64]bool),
-		DecidedAbort:  make(map[uint64]bool),
-	}
-
-	// Power failure on every shard.
-	for _, sh := range c.shards {
-		sh.m.Crash()
-	}
-
-	maxSeq := c.seq
-	if c.decLog != nil {
-		st0 := c.shards[0].m.Store()
-		rec.Cell = st0.ReadU64(c.cellAddr)
-		if rec.Cell > maxSeq {
-			maxSeq = rec.Cell
-		}
-		for _, r := range c.decLog.Records(true) {
-			switch r.Type {
-			case wal.RecCommit:
-				rec.DecidedCommit[r.LSN] = true
-			case wal.RecAbort:
-				rec.DecidedAbort[r.LSN] = true
-			}
-			if r.LSN > maxSeq {
-				maxSeq = r.LSN
-			}
-		}
-	}
-
-	// Per-shard durable evidence, collected before local replay appends
-	// anything: apply marks and prepare images per GID. A later RecWrite
-	// for the same line overrides an earlier one, matching replay order.
-	durMark := make([]map[uint64]bool, len(c.shards))
-	intents := make([]map[uint64][]LineWrite, len(c.shards))
-	for k, sh := range c.shards {
-		durMark[k] = make(map[uint64]bool)
-		intents[k] = make(map[uint64][]LineWrite)
-		for _, r := range sh.m.DurableRedoRecords() {
-			if r.TxID < GIDBase {
-				continue
-			}
-			if s := r.TxID &^ GIDBase; s > maxSeq {
-				maxSeq = s
-			}
-			switch r.Type {
-			case wal.RecCommit:
-				durMark[k][r.TxID] = true
-			case wal.RecWrite:
-				intents[k][r.TxID] = append(intents[k][r.TxID], LineWrite{Addr: r.Addr, Img: r.Data})
-			}
-		}
-	}
-
-	// Local replay per shard: completes every transaction — local or
-	// cross — whose commit/apply mark was durable.
-	for _, sh := range c.shards {
-		rec.PerShard = append(rec.PerShard, sh.m.Recover())
-	}
-
-	// Completion pass over decided commits above the cell, in sequence
-	// order. A shard with neither mark nor prepare records was not a
-	// writer for that transaction (or already resolved it), so it is
-	// skipped — unlike Recover there is no ground truth to check that
-	// against, which is exactly why prepare durably precedes decision.
-	var seqs []uint64
-	for s := range rec.DecidedCommit {
-		if s > rec.Cell {
-			seqs = append(seqs, s)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, s := range seqs {
-		gid := GIDBase | s
-		for k, sh := range c.shards {
-			ws := dedupLineWrites(intents[k][gid])
-			if !durMark[k][gid] && len(ws) == 0 {
-				continue
-			}
-			if inCommitLog(sh, gid) {
-				continue // fully applied and registered before the crash
-			}
-			writes := make(map[mem.Addr]mem.Line, len(ws))
-			for _, w := range ws {
-				writes[w.Addr] = w.Img
-			}
-			if durMark[k][gid] {
-				// Local replay already applied the images; only register.
-				rec.Noted++
-			} else {
-				sh.m.RedoLog(0).Append(wal.Record{Type: wal.RecCommit, TxID: gid, LSN: sh.m.NextLSN()})
-				st := sh.m.Store()
-				for _, w := range ws {
-					img := w.Img
-					st.WriteLine(w.Addr, &img)
-					st.PersistLine(w.Addr, &img)
-				}
-				rec.Completed++
-			}
-			sh.m.NoteCommit(gid, 0, writes)
-		}
-	}
-	if c.seq < maxSeq {
-		c.seq = maxSeq
-	}
-	c.mergeDecisionState(rec)
-	c.halted = false
-	return rec
-}
-
-// dedupLineWrites collapses repeated images of the same line to the
-// last one, preserving first-seen line order (replay-equivalent).
-func dedupLineWrites(ws []LineWrite) []LineWrite {
-	if len(ws) < 2 {
-		return ws
-	}
-	idx := make(map[mem.Addr]int, len(ws))
-	out := ws[:0:0]
-	for _, w := range ws {
-		if i, ok := idx[w.Addr]; ok {
-			out[i] = w
-			continue
-		}
-		idx[w.Addr] = len(out)
-		out = append(out, w)
-	}
-	return out
+	return tx.decided, c.halted
 }

@@ -6,7 +6,6 @@ import (
 	"uhtm/internal/core"
 	"uhtm/internal/crash"
 	"uhtm/internal/mem"
-	"uhtm/internal/sim"
 )
 
 // servingConfig is the cluster shape the serving-surface tests run:
@@ -58,7 +57,7 @@ func TestNewServingSingleShardHasNoCoordinator(t *testing.T) {
 			t.Fatalf("SubmitCross on a single-shard cluster did not panic")
 		}
 	}()
-	c.SubmitCross([]int{0}, func(int, *sim.Thread) []LineWrite { return nil }, nil)
+	c.SubmitCross(make([][]LineWrite, 1))
 }
 
 // servingFixture builds an n-shard serving cluster with one allocated,
@@ -79,6 +78,16 @@ func servingFixture(t *testing.T, n int) (*Cluster, []mem.Addr, []map[mem.Addr]m
 	return c, las, baselines
 }
 
+// oneLineEach builds a cross write set that writes imgs[k] to las[k] on
+// every shard k.
+func oneLineEach(las []mem.Addr, imgs []mem.Line) [][]LineWrite {
+	ws := make([][]LineWrite, len(las))
+	for k := range las {
+		ws[k] = []LineWrite{{Addr: las[k], Img: imgs[k]}}
+	}
+	return ws
+}
+
 // lineImg builds a full-line image of repeated b.
 func lineImg(b byte) mem.Line {
 	var l mem.Line
@@ -91,12 +100,7 @@ func lineImg(b byte) mem.Line {
 func TestSubmitCrossCommitAppliesEverywhere(t *testing.T) {
 	c, las, baselines := servingFixture(t, 2)
 	imgs := []mem.Line{lineImg(0xA1), lineImg(0xB2)}
-	appliedOn := map[int]bool{}
-	decided, halted := c.SubmitCross([]int{0, 1},
-		func(k int, th *sim.Thread) []LineWrite {
-			return []LineWrite{{Addr: las[k], Img: imgs[k]}}
-		},
-		func(k int, th *sim.Thread) { appliedOn[k] = true })
+	decided, halted := c.SubmitCross(oneLineEach(las, imgs))
 	if !decided || halted {
 		t.Fatalf("SubmitCross = (decided=%v, halted=%v), want (true, false)", decided, halted)
 	}
@@ -104,9 +108,6 @@ func TestSubmitCrossCommitAppliesEverywhere(t *testing.T) {
 		t.Fatalf("CrossCommits = %d, want 1", c.CrossCommits())
 	}
 	for k, sh := range c.Shards() {
-		if !appliedOn[k] {
-			t.Errorf("applied callback never ran on shard %d", k)
-		}
 		if got := sh.Machine().Store().PeekLine(las[k]); got != imgs[k] {
 			t.Errorf("shard %d live line = %x, want committed image", k, got)
 		}
@@ -114,7 +115,7 @@ func TestSubmitCrossCommitAppliesEverywhere(t *testing.T) {
 
 	// Recovery after a clean commit is a no-op completion pass, and every
 	// shard still satisfies the committed-prefix oracle.
-	rec := c.RecoverServing()
+	rec := c.Recover()
 	if rec.Completed != 0 || rec.Noted != 0 {
 		t.Fatalf("clean commit needed completion work: completed=%d noted=%d", rec.Completed, rec.Noted)
 	}
@@ -130,9 +131,7 @@ func TestSubmitCrossCommitAppliesEverywhere(t *testing.T) {
 
 func TestSubmitCrossReadOnlySkipsProtocol(t *testing.T) {
 	c, _, _ := servingFixture(t, 2)
-	decided, halted := c.SubmitCross([]int{0, 1},
-		func(int, *sim.Thread) []LineWrite { return nil },
-		func(int, *sim.Thread) { t.Error("applied callback ran for a read-only transaction") })
+	decided, halted := c.SubmitCross(make([][]LineWrite, 2))
 	if decided || halted {
 		t.Fatalf("read-only SubmitCross = (%v, %v), want (false, false)", decided, halted)
 	}
@@ -149,10 +148,7 @@ func TestSubmitCrossHaltBeforeDecisionVanishesEverywhere(t *testing.T) {
 	c.SetHook(1, in.Hit)
 
 	imgs := []mem.Line{lineImg(0xC3), lineImg(0xD4)}
-	decided, halted := c.SubmitCross([]int{0, 1},
-		func(k int, th *sim.Thread) []LineWrite {
-			return []LineWrite{{Addr: las[k], Img: imgs[k]}}
-		}, nil)
+	decided, halted := c.SubmitCross(oneLineEach(las, imgs))
 	if decided || !halted {
 		t.Fatalf("SubmitCross = (%v, %v), want (false, true)", decided, halted)
 	}
@@ -161,7 +157,7 @@ func TestSubmitCrossHaltBeforeDecisionVanishesEverywhere(t *testing.T) {
 	}
 	in.Disarm()
 
-	rec := c.RecoverServing()
+	rec := c.Recover()
 	if len(rec.DecidedCommit) != 0 {
 		t.Fatalf("undecided transaction has a durable commit decision: %v", rec.DecidedCommit)
 	}
@@ -198,19 +194,16 @@ func TestSubmitCrossHaltAfterDecisionCompletesEverywhere(t *testing.T) {
 			c.SetHook(tc.shard, in.Hit)
 
 			imgs := []mem.Line{lineImg(0xE5), lineImg(0xF6)}
-			_, halted := c.SubmitCross([]int{0, 1},
-				func(k int, th *sim.Thread) []LineWrite {
-					return []LineWrite{{Addr: las[k], Img: imgs[k]}}
-				}, nil)
-			if !halted {
-				t.Fatalf("injected halt did not surface")
+			decided, halted := c.SubmitCross(oneLineEach(las, imgs))
+			if !decided || !halted {
+				t.Fatalf("SubmitCross = (%v, %v), want (true, true)", decided, halted)
 			}
 			if !in.Fired() {
 				t.Fatalf("injection never fired")
 			}
 			in.Disarm()
 
-			rec := c.RecoverServing()
+			rec := c.Recover()
 			if !rec.DecidedCommit[1] {
 				t.Fatalf("durable commit decision missing: %v", rec.DecidedCommit)
 			}
@@ -235,10 +228,7 @@ func TestSubmitCrossHaltAfterDecisionCompletesEverywhere(t *testing.T) {
 				sh.Restart()
 			}
 			imgs2 := []mem.Line{lineImg(0x11), lineImg(0x22)}
-			decided, halted := c.SubmitCross([]int{0, 1},
-				func(k int, th *sim.Thread) []LineWrite {
-					return []LineWrite{{Addr: las[k], Img: imgs2[k]}}
-				}, nil)
+			decided, halted = c.SubmitCross(oneLineEach(las, imgs2))
 			if !decided || halted {
 				t.Fatalf("post-recovery SubmitCross = (%v, %v), want (true, false)", decided, halted)
 			}

@@ -123,8 +123,9 @@ func (sh *Shard) hit(point string) {
 }
 
 // Cluster is a set of shards plus the cross-shard commit coordinator
-// state (decision log and resolution cell on shard 0) and the ground-
-// truth record of every cross-shard transaction issued.
+// state (decision log and resolution cell on shard 0) and the canned
+// driver's ground-truth record of every cross-shard transaction it
+// issued.
 type Cluster struct {
 	cfg    Config
 	shards []*Shard
@@ -133,7 +134,7 @@ type Cluster struct {
 	cellAddr mem.Addr // resolution cell: highest durably resolved GID seq
 
 	seq    uint64     // GID sequence (next = seq+1)
-	waves  []*crossTx // every issued cross-shard transaction, in seq order
+	waves  []*crossTx // every wave transaction Run issued, in seq order (sweep ground truth)
 	halted bool
 
 	// decidedAbort and resolvedSeq mirror the coordinator's durable
@@ -271,10 +272,12 @@ func pick(t, k, i, n int) int {
 	return ((t*131+k*17+i*7+(t^k)*3)%n + n) % n
 }
 
-// fanout runs f once per given shard on the harness worker pool and
-// reports whether any shard halted. Execute's determinism guarantees
-// make the result independent of Par.
-func (c *Cluster) fanout(shards []*Shard, f func(sh *Shard) bool) bool {
+// Fanout runs f once per listed shard on the harness worker pool and
+// reports whether any shard halted. It is the cluster's phase barrier,
+// used by the canned driver and by callers (the server's engine loop)
+// that drive their own waves. Execute's determinism guarantees make the
+// result independent of Par.
+func (c *Cluster) Fanout(shards []*Shard, f func(sh *Shard) bool) bool {
 	specs := make([]harness.Spec[bool], len(shards))
 	for i, sh := range shards {
 		sh := sh
@@ -290,6 +293,20 @@ func (c *Cluster) fanout(shards []*Shard, f func(sh *Shard) bool) bool {
 		halted = halted || h
 	}
 	return halted
+}
+
+// Do runs bodies as one session batch on the shard (harness.Session.Do
+// semantics: fresh threads at the engine's current virtual time) and
+// reports whether the engine halted mid-batch.
+func (sh *Shard) Do(name string, bodies ...func(*sim.Thread)) bool {
+	_, halted := sh.sess.Do(name, bodies...)
+	return halted
+}
+
+// Restart reboots the shard's session after a halt (the caller recovers
+// the machine first).
+func (sh *Shard) Restart() {
+	sh.sess.Restart()
 }
 
 // localBatch runs one round of single-shard transactions on sh: one
@@ -325,20 +342,19 @@ func (c *Cluster) localBatch(sh *Shard, round int) bool {
 			}
 		}
 	}
-	_, halted := sh.sess.Do(fmt.Sprintf("local.r%d", round), bodies...)
-	return halted
+	return sh.Do(fmt.Sprintf("local.r%d", round), bodies...)
 }
 
 // Run drives the cluster to completion (or to an injected halt): per
 // round, a local batch on every shard, then the cross-shard wave —
-// prepare, decide, apply, per-shard log reclamation, and the
+// commit (prepare, decide, apply), per-shard log reclamation, and the
 // coordinator's resolution-cell advance. Each phase is a barrier across
 // shards; a halted shard stops the cluster after the phase in which it
 // died (the other shards complete that phase, exactly as independent
 // nodes would keep running until they notice the coordinator is gone).
 func (c *Cluster) Run() Result {
 	for r := 0; r < c.cfg.Rounds && !c.halted; r++ {
-		if c.fanout(c.shards, func(sh *Shard) bool { return c.localBatch(sh, r) }) {
+		if c.Fanout(c.shards, func(sh *Shard) bool { return c.localBatch(sh, r) }) {
 			c.halted = true
 			break
 		}
@@ -346,7 +362,14 @@ func (c *Cluster) Run() Result {
 			continue
 		}
 		wave := c.buildWave(r)
-		c.runWave(wave)
+		c.commit(wave)
+		// Background log reclamation on every shard — applied images
+		// persist in place, checkpoints advance, rings truncate — then
+		// the coordinator durably resolves the wave.
+		if c.halted || c.phase(c.shards, "2pc.reclaim", func(sh *Shard, th *sim.Thread) { sh.m.ReclaimLogs() }) {
+			break
+		}
+		c.resolve(wave[len(wave)-1].seq)
 	}
 	return c.result()
 }

@@ -209,9 +209,6 @@ func TestRecoverAfterCleanRun(t *testing.T) {
 	if rec.Completed != 0 || rec.Noted != 0 {
 		t.Fatalf("clean run needed completion work: completed=%d noted=%d", rec.Completed, rec.Noted)
 	}
-	if len(rec.Inconsistent) > 0 {
-		t.Fatalf("inconsistencies: %v", rec.Inconsistent)
-	}
 	if rec.Cell == 0 || rec.Cell != res.CrossCommits+res.CrossAborts {
 		t.Fatalf("cell = %d, want %d", rec.Cell, res.CrossCommits+res.CrossAborts)
 	}

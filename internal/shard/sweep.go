@@ -152,9 +152,6 @@ func RunInjection(cfg Config, inj crash.Injection) crash.Outcome {
 // the cross-shard atomicity invariants. Returns "" when everything
 // holds.
 func (c *Cluster) verify(rec Recovery, baselines []map[mem.Addr]mem.Line) string {
-	for _, msg := range rec.Inconsistent {
-		return msg
-	}
 	// Per-shard committed-prefix equality. The mid-commit bound covers
 	// one local transaction per core; cross applies are all registered
 	// by the completion pass, so they never count as mid.
@@ -168,8 +165,8 @@ func (c *Cluster) verify(rec Recovery, baselines []map[mem.Addr]mem.Line) string
 	// below the cell and admitted); never anywhere otherwise.
 	for _, tx := range c.waves {
 		expect := rec.DecidedCommit[tx.seq] || (tx.seq <= rec.Cell && tx.admitted)
-		for _, s := range tx.shards {
-			if len(tx.writes[s]) == 0 {
+		for s, ws := range tx.writes {
+			if len(ws) == 0 {
 				continue
 			}
 			applied := inCommitLog(c.shards[s], tx.gid)

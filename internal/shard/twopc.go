@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -57,51 +58,66 @@ const (
 	applyLatPerLine  = 8 * sim.Nanosecond   // in-place write + persist
 )
 
-// crossWrite is one line write of a cross-shard transaction on one
-// participant shard. The full line image is captured when the prepare
-// record is logged and reused verbatim by apply and recovery, so the
-// durable log and the in-place update can never disagree.
-type crossWrite struct {
-	addr mem.Addr
-	val  uint64
-	img  mem.Line // captured at prepare
+// LineWrite is one full-line NVM write of a cross-shard transaction:
+// the image captured before prepare and reused verbatim by apply and
+// recovery, so the durable log and the in-place update can never
+// disagree.
+type LineWrite struct {
+	// Addr is the line base address (64-byte aligned).
+	Addr mem.Addr
+	// Img is the complete post-transaction line image.
+	Img mem.Line
 }
 
-// crossTx is one cross-shard transaction: the ground truth the driver
-// keeps about what it issued (participants, write sets, admission
-// verdict), recorded before any phase runs so an injected crash can be
-// checked against exact intent.
+// crossTx is one cross-shard transaction as the commit protocol sees
+// it: its global ID, its per-shard write sets and the coordinator's
+// verdict. The canned driver keeps every one it issues (Cluster.waves)
+// as ground truth for the sweep's atomicity check.
 type crossTx struct {
 	gid      uint64
 	seq      uint64
-	shards   []int               // participant shard IDs, ascending
-	writes   map[int][]crossWrite // participant → writes, ascending by addr
-	admitted bool                // wave conflict admission verdict
+	writes   [][]LineWrite // shard → writes (empty: not a writer), ascending by addr in the canned driver
+	admitted bool          // wave conflict admission verdict
+	decided  bool          // the coordinator's decision record is durable
 }
 
-// buildWave constructs round r's cross-shard transactions and runs
-// conflict admission: transactions are admitted greedily in GID order,
-// and one whose (shard, line) set overlaps an earlier admitted
-// transaction in the same wave is aborted by the coordinator (the
-// cross-shard analogue of a conflict abort). Everything is a pure
-// function of (Config, r), so waves are identical on every run.
+// String identifies a cross transaction in diagnostics.
+func (tx *crossTx) String() string {
+	var shards []int
+	for k, ws := range tx.writes {
+		if len(ws) > 0 {
+			shards = append(shards, k)
+		}
+	}
+	return fmt.Sprintf("gid=%#x seq=%d shards=%v admitted=%v", tx.gid, tx.seq, shards, tx.admitted)
+}
+
+// buildWave constructs round r's cross-shard transactions, capturing
+// each write's full line image from the live store (nothing writes the
+// pools between here and prepare), and runs conflict admission:
+// transactions are admitted greedily in GID order, and one whose
+// (shard, line) set overlaps an earlier admitted transaction in the
+// same wave is aborted by the coordinator (the cross-shard analogue of
+// a conflict abort). Everything is a pure function of (Config, r), so
+// waves are identical on every run.
 func (c *Cluster) buildWave(r int) []*crossTx {
 	cfg := c.cfg
+	type shardLine struct {
+		shard int
+		addr  mem.Addr
+	}
+	taken := make(map[shardLine]bool)
 	var wave []*crossTx
-	taken := make(map[int]map[mem.Addr]bool, cfg.Shards)
 	for j := 0; j < cfg.CrossPerRound; j++ {
 		c.seq++
-		tx := &crossTx{
-			gid:    GIDBase | c.seq,
-			seq:    c.seq,
-			writes: make(map[int][]crossWrite, cfg.CrossShards),
-		}
+		tx := &crossTx{gid: GIDBase | c.seq, seq: c.seq, writes: make([][]LineWrite, cfg.Shards)}
 		base := pick(r*7+3, j, 0, cfg.Shards)
-		for i := 0; i < cfg.CrossShards; i++ {
-			tx.shards = append(tx.shards, (base+i)%cfg.Shards)
+		parts := make([]int, cfg.CrossShards)
+		for i := range parts {
+			parts[i] = (base + i) % cfg.Shards
 		}
-		sort.Ints(tx.shards)
-		for i, s := range tx.shards {
+		sort.Ints(parts)
+		for i, s := range parts {
 			sh := c.shards[s]
 			seen := make(map[mem.Addr]bool, cfg.WritesPerTx)
 			for w := 0; w < cfg.WritesPerTx; w++ {
@@ -111,33 +127,25 @@ func (c *Cluster) buildWave(r int) []*crossTx {
 					continue // duplicate pick within the same tx: one write
 				}
 				seen[la] = true
-				tx.writes[s] = append(tx.writes[s], crossWrite{
-					addr: la,
-					val:  tx.seq<<20 | uint64(i)<<10 | uint64(w+1),
-				})
+				img := sh.m.Store().PeekLine(la)
+				binary.LittleEndian.PutUint64(img[:8], tx.seq<<20|uint64(i)<<10|uint64(w+1))
+				tx.writes[s] = append(tx.writes[s], LineWrite{Addr: la, Img: img})
 			}
 			sort.Slice(tx.writes[s], func(a, b int) bool {
-				return tx.writes[s][a].addr < tx.writes[s][b].addr
+				return tx.writes[s][a].Addr < tx.writes[s][b].Addr
 			})
 		}
 		// Greedy admission against the wave's already-admitted sets.
 		tx.admitted = true
-	admit:
-		for _, s := range tx.shards {
-			for _, w := range tx.writes[s] {
-				if taken[s][w.addr] {
-					tx.admitted = false
-					break admit
-				}
+		for s, ws := range tx.writes {
+			for _, w := range ws {
+				tx.admitted = tx.admitted && !taken[shardLine{s, w.Addr}]
 			}
 		}
 		if tx.admitted {
-			for _, s := range tx.shards {
-				if taken[s] == nil {
-					taken[s] = make(map[mem.Addr]bool)
-				}
-				for _, w := range tx.writes[s] {
-					taken[s][w.addr] = true
+			for s, ws := range tx.writes {
+				for _, w := range ws {
+					taken[shardLine{s, w.Addr}] = true
 				}
 			}
 		}
@@ -147,43 +155,87 @@ func (c *Cluster) buildWave(r int) []*crossTx {
 	return wave
 }
 
-// participants returns the distinct shards touched by the wave, in
-// index order.
-func (c *Cluster) participants(wave []*crossTx) []*Shard {
-	in := make([]bool, c.cfg.Shards)
-	for _, tx := range wave {
-		for _, s := range tx.shards {
-			in[s] = true
-		}
-	}
+// writers returns the shards with a non-empty write set in the wave, in
+// index order: the shards that prepare and apply.
+func (c *Cluster) writers(wave []*crossTx) []*Shard {
 	var out []*Shard
-	for k, ok := range in {
-		if ok {
-			out = append(out, c.shards[k])
+	for k, sh := range c.shards {
+		for _, tx := range wave {
+			if len(tx.writes[k]) > 0 {
+				out = append(out, sh)
+				break
+			}
 		}
 	}
 	return out
 }
 
-// runWave executes one wave's 2PC: prepare on every participant,
-// decision on shard 0, apply on every participant, a log-reclamation
-// pass on every shard, and the resolution-cell advance on shard 0.
-// Every phase is a cross-shard barrier; a halt stops the cluster after
-// the phase that observed it.
-func (c *Cluster) runWave(wave []*crossTx) {
-	parts := c.participants(wave)
-
-	// Phase 1: durable prepare on each participant.
-	if c.fanout(parts, func(sh *Shard) bool { return c.prepare(sh, wave) }) {
+// phase runs body once per listed shard, each on one fresh simulated
+// thread of that shard's session, as one cross-shard barrier. A halt on
+// any shard stops the cluster; phase reports it.
+func (c *Cluster) phase(shards []*Shard, name string, body func(sh *Shard, th *sim.Thread)) bool {
+	if c.Fanout(shards, func(sh *Shard) bool {
+		return sh.Do(name, func(th *sim.Thread) { body(sh, th) })
+	}) {
 		c.halted = true
+	}
+	return c.halted
+}
+
+// commit runs the cross-shard commit protocol for a wave: durable
+// prepare records on every writer, the coordinator's decision records
+// on shard 0 causally after every prepare, then mark-first apply of the
+// admitted transactions on every writer. It is the only code that logs
+// prepare and decision records; the canned driver and SubmitCross both
+// come through here. A halt stops the protocol after the phase that
+// observed it and leaves c.halted set; each transaction's decided flag
+// then tells whether its fate is already durable.
+func (c *Cluster) commit(wave []*crossTx) {
+	writers := c.writers(wave)
+
+	// Phase 1: durable prepare — each transaction's write images
+	// (RecWrite per line) then its RecPrepare mark on ring 0, a prepared
+	// write set invisible to local replay until a mark commits it.
+	if c.phase(writers, "2pc.prepare", func(sh *Shard, th *sim.Thread) {
+		ring := sh.m.RedoLog(0)
+		for _, tx := range wave {
+			ws := tx.writes[sh.id]
+			if len(ws) == 0 {
+				continue
+			}
+			for _, w := range ws {
+				ring.Append(wal.Record{Type: wal.RecWrite, TxID: tx.gid, Addr: w.Addr, Data: w.Img})
+				th.Advance(prepareLatPerRec)
+			}
+			ring.Append(wal.Record{Type: wal.RecPrepare, TxID: tx.gid})
+			th.Advance(prepareLatPerRec)
+			sh.hit(PointPrepareLogged)
+		}
+	}) {
 		return
 	}
 
-	// Phase 2: coordinator decision on shard 0, at a virtual time after
-	// every participant's prepare (plus a coordination hop).
+	// Phase 2: one durable decision record per transaction in GID order
+	// (RecCommit for admitted, RecAbort for conflict-aborted), at a
+	// virtual time after every prepare plus a coordination hop.
 	tmax := c.maxNow()
-	if c.fanout(c.shards[:1], func(sh *Shard) bool { return c.decide(sh, wave, tmax) }) {
-		c.halted = true
+	if c.phase(c.shards[:1], "2pc.decide", func(sh *Shard, th *sim.Thread) {
+		advanceTo(th, tmax)
+		th.Advance(coordHopLat)
+		for _, tx := range wave {
+			typ := wal.RecCommit
+			if !tx.admitted {
+				typ = wal.RecAbort
+			}
+			c.decLog.Append(wal.Record{Type: typ, TxID: tx.gid, LSN: tx.seq})
+			tx.decided = true
+			if !tx.admitted {
+				c.decidedAbort[tx.seq] = true
+			}
+			th.Advance(decisionLatPerTx)
+			sh.hit(PointDecisionLogged)
+		}
+	}) {
 		return
 	}
 	for _, tx := range wave {
@@ -194,26 +246,64 @@ func (c *Cluster) runWave(wave []*crossTx) {
 		}
 	}
 
-	// Phase 3: per-shard apply of the committed transactions, after the
-	// decision (plus the return hop).
+	// Phase 3: apply the committed transactions on every writer, after
+	// the decision plus the return hop.
 	tdec := c.shards[0].eng.Now()
-	if c.fanout(parts, func(sh *Shard) bool { return c.apply(sh, wave, tdec) }) {
-		c.halted = true
-		return
-	}
+	c.phase(writers, "2pc.apply", func(sh *Shard, th *sim.Thread) {
+		advanceTo(th, tdec)
+		th.Advance(coordHopLat)
+		for _, tx := range wave {
+			if ws := tx.writes[sh.id]; tx.admitted && len(ws) > 0 {
+				sh.apply(tx.gid, ws, th)
+			}
+		}
+	})
+}
 
-	// Phase 4: background log reclamation on every shard — applied
-	// images persist in place, checkpoints advance, rings truncate.
-	if c.fanout(c.shards, func(sh *Shard) bool { return c.reclaim(sh) }) {
-		c.halted = true
-		return
+// apply completes one decided-commit transaction on sh: the durable
+// apply mark first (so a torn apply is completed by local replay from
+// the prepare records), then each prepared image in place, then the
+// machine's commit bookkeeping. The protocol's apply phase passes its
+// simulated thread, which is charged per line and fires the apply
+// injection points; recovery's completion pass passes nil and does
+// neither.
+func (sh *Shard) apply(gid uint64, ws []LineWrite, th *sim.Thread) {
+	if th != nil {
+		sh.hit(PointApplyMark)
 	}
+	sh.m.RedoLog(0).Append(wal.Record{Type: wal.RecCommit, TxID: gid, LSN: sh.m.NextLSN()})
+	st := sh.m.Store()
+	writes := make(map[mem.Addr]mem.Line, len(ws))
+	for _, w := range ws {
+		if th != nil {
+			sh.hit(PointApplyLine)
+		}
+		img := w.Img
+		st.WriteLine(w.Addr, &img)
+		st.PersistLine(w.Addr, &img)
+		writes[w.Addr] = img
+		if th != nil {
+			th.Advance(applyLatPerLine)
+		}
+	}
+	sh.m.NoteCommit(gid, 0, writes)
+}
 
-	// Phase 5: the coordinator durably resolves the wave and truncates
-	// the decision log.
-	if c.fanout(c.shards[:1], func(sh *Shard) bool { return c.resolve(sh, wave[len(wave)-1].seq) }) {
-		c.halted = true
-	}
+// resolve durably advances the resolution cell to seq — every cross
+// transaction with sequence <= seq is fully applied (or decided-abort)
+// everywhere — then truncates the decision log, whose records are now
+// redundant with the cell. It reports a halt.
+func (c *Cluster) resolve(seq uint64) bool {
+	return c.phase(c.shards[:1], "2pc.resolve", func(sh *Shard, th *sim.Thread) {
+		st := sh.m.Store()
+		sh.hit(PointResolveCkpt)
+		st.WriteU64(c.cellAddr, seq)
+		ln := st.PeekLine(c.cellAddr)
+		st.PersistLine(c.cellAddr, &ln)
+		th.Advance(decisionLatPerTx)
+		c.decLog.Reclaim(c.decLog.Head())
+		c.resolvedSeq = seq
+	})
 }
 
 // maxNow returns the latest virtual time across shards.
@@ -232,123 +322,4 @@ func advanceTo(th *sim.Thread, at sim.Time) {
 	if d := at - th.Clock(); d > 0 {
 		th.Advance(d)
 	}
-}
-
-// prepare logs, for every wave transaction with sh as participant, the
-// transaction's write images (RecWrite per line, full prepared image)
-// followed by its RecPrepare mark on the shard's ring 0 — a durable
-// prepared write set invisible to local replay until a mark commits it.
-func (c *Cluster) prepare(sh *Shard, wave []*crossTx) bool {
-	_, halted := sh.sess.Do("2pc.prepare", func(th *sim.Thread) {
-		st := sh.m.Store()
-		ring := sh.m.RedoLog(0)
-		for _, tx := range wave {
-			ws := tx.writes[sh.id]
-			if len(ws) == 0 {
-				continue
-			}
-			for i := range ws {
-				w := &ws[i]
-				img := st.PeekLine(w.addr)
-				for b := 0; b < 8; b++ {
-					img[b] = byte(w.val >> (8 * b))
-				}
-				w.img = img
-				ring.Append(wal.Record{Type: wal.RecWrite, TxID: tx.gid, Addr: w.addr, Data: img})
-				th.Advance(prepareLatPerRec)
-			}
-			ring.Append(wal.Record{Type: wal.RecPrepare, TxID: tx.gid})
-			th.Advance(prepareLatPerRec)
-			sh.hit(PointPrepareLogged)
-		}
-	})
-	return halted
-}
-
-// decide runs the coordinator: one durable decision record per wave
-// transaction (RecCommit for admitted, RecAbort for conflict-aborted),
-// appended to the decision log in GID order at a time causally after
-// every prepare.
-func (c *Cluster) decide(sh *Shard, wave []*crossTx, tmax sim.Time) bool {
-	_, halted := sh.sess.Do("2pc.decide", func(th *sim.Thread) {
-		advanceTo(th, tmax)
-		th.Advance(coordHopLat)
-		for _, tx := range wave {
-			typ := wal.RecCommit
-			if !tx.admitted {
-				typ = wal.RecAbort
-			}
-			c.decLog.Append(wal.Record{Type: typ, TxID: tx.gid, LSN: tx.seq})
-			if !tx.admitted {
-				c.decidedAbort[tx.seq] = true
-			}
-			th.Advance(decisionLatPerTx)
-			sh.hit(PointDecisionLogged)
-		}
-	})
-	return halted
-}
-
-// apply completes the committed wave transactions on sh: the durable
-// apply mark first (so a torn apply is completed by local replay from
-// the prepare records), then each prepared image in place.
-func (c *Cluster) apply(sh *Shard, wave []*crossTx, tdec sim.Time) bool {
-	_, halted := sh.sess.Do("2pc.apply", func(th *sim.Thread) {
-		advanceTo(th, tdec)
-		th.Advance(coordHopLat)
-		st := sh.m.Store()
-		ring := sh.m.RedoLog(0)
-		for _, tx := range wave {
-			ws := tx.writes[sh.id]
-			if !tx.admitted || len(ws) == 0 {
-				continue
-			}
-			sh.hit(PointApplyMark)
-			ring.Append(wal.Record{Type: wal.RecCommit, TxID: tx.gid, LSN: sh.m.NextLSN()})
-			writes := make(map[mem.Addr]mem.Line, len(ws))
-			for i := range ws {
-				w := ws[i]
-				sh.hit(PointApplyLine)
-				img := w.img
-				st.WriteLine(w.addr, &img)
-				st.PersistLine(w.addr, &img)
-				writes[w.addr] = img
-				th.Advance(applyLatPerLine)
-			}
-			sh.m.NoteCommit(tx.gid, 0, writes)
-		}
-	})
-	return halted
-}
-
-// reclaim runs one background log-reclamation pass on sh's machine from
-// a simulated thread (so injected crashes inside it halt the engine).
-func (c *Cluster) reclaim(sh *Shard) bool {
-	_, halted := sh.sess.Do("2pc.reclaim", func(th *sim.Thread) {
-		sh.m.ReclaimLogs()
-	})
-	return halted
-}
-
-// resolve durably advances the resolution cell to seq — every cross
-// transaction with sequence <= seq is fully applied (or decided-abort)
-// and reclaimed everywhere — then truncates the decision log, whose
-// records are now redundant with the cell.
-func (c *Cluster) resolve(sh *Shard, seq uint64) bool {
-	_, halted := sh.sess.Do("2pc.resolve", func(th *sim.Thread) {
-		st := sh.m.Store()
-		sh.hit(PointResolveCkpt)
-		st.WriteU64(c.cellAddr, seq)
-		ln := st.PeekLine(c.cellAddr)
-		st.PersistLine(c.cellAddr, &ln)
-		th.Advance(decisionLatPerTx)
-		c.decLog.Reclaim(c.decLog.Head())
-		c.resolvedSeq = seq
-	})
-	return halted
-}
-
-// String identifies a cross transaction in diagnostics.
-func (tx *crossTx) String() string {
-	return fmt.Sprintf("gid=%#x seq=%d shards=%v admitted=%v", tx.gid, tx.seq, tx.shards, tx.admitted)
 }

@@ -101,3 +101,30 @@ func TestScaleRecordsCarryShardFields(t *testing.T) {
 		t.Errorf("fold table lacks the speedup baseline:\n%s", tbl.Format())
 	}
 }
+
+// TestScaleGolden pins the shrunken scale grid (8 cores, shards 1/2/4,
+// one conflict domain, scale 0.5) to goldens captured before the
+// cross-shard commit was unified: the wave driver's per-shard commit
+// and abort counts and virtual elapsed times must not move when the
+// 2PC code is restructured.
+func TestScaleGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale grid skipped in -short mode")
+	}
+	shrinkScaleGrid(t, []int{8}, []int{1, 2, 4}, []int{1})
+	tbl, rs, err := RunExperiment("scale", RunOptions{Scale: 0.5, Par: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []byte
+	for _, r := range rs {
+		r.Wall = 0
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs = append(append(recs, b...), '\n')
+	}
+	checkGolden(t, "golden_scale.table", []byte(tbl.Format()))
+	checkGolden(t, "golden_scale.jsonl", recs)
+}

@@ -87,7 +87,7 @@ func TestServingDocCoversCommands(t *testing.T) {
 		"cross_commits",
 		"cross_aborts",
 		"ShardOf",
-		"RecoverServing",
+		"Cluster.Recover",
 	} {
 		if !strings.Contains(doc, want) {
 			t.Errorf("SERVING.md no longer documents %q (sharded serving section)", want)
