@@ -8,7 +8,7 @@
 //	uhtmsim -crash [-scale f] [-seed n] [-par n] [-json path]
 //	uhtmsim serve [-addr host:port] [-shards n] [-cores n] [-prepopulate n] [-seed n]
 //	uhtmsim loadgen [-addr host:port] [-qps f] [-conns n] [-duration d] [-out path]
-//	uhtmsim bench [-out path] [-compare baseline.json] [-tol f]
+//	uhtmsim bench [-count n] [-out path] [-compare baseline.json] [-tol f]
 //	uhtmsim trace-summary <trace.json>
 //
 // where experiment is one of: table3, fig2, fig6, fig7, fig8, fig9a,
@@ -445,11 +445,12 @@ func benchCmd(args []string, stdout, stderr io.Writer) int {
 	out := fs.String("out", "", "output path (default: first free BENCH_<n>.json in the current directory)")
 	baseline := fs.String("compare", "", "baseline BENCH_<n>.json to gate allocs/op against")
 	tol := fs.Float64("tol", 0.25, "relative regression tolerance for -compare")
+	count := fs.Int("count", 1, "run the whole suite n times, one after another, and record each spec's median, min and max ns/op")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if fs.NArg() != 0 {
-		fmt.Fprintln(stderr, "usage: uhtmsim bench [-out path] [-compare baseline.json] [-tol f]")
+	if fs.NArg() != 0 || *count < 1 {
+		fmt.Fprintln(stderr, "usage: uhtmsim bench [-count n] [-out path] [-compare baseline.json] [-tol f]")
 		return 2
 	}
 
@@ -463,9 +464,26 @@ func benchCmd(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	f, err := benchRunSuiteFn(func(format string, a ...any) {
-		fmt.Fprintf(stdout, format+"\n", a...)
-	})
+	// Repeated runs interleave the specs (A B C, A B C, ...), so slow
+	// drift of the host spreads across all of them alike.
+	var runs []bench.File
+	var err error
+	for i := 0; i < *count && err == nil; i++ {
+		var f bench.File
+		f, err = benchRunSuiteFn(func(format string, a ...any) {
+			fmt.Fprintf(stdout, format+"\n", a...)
+		})
+		if len(f.Suite) > 0 {
+			runs = append(runs, f)
+		}
+	}
+	f := bench.Summarize(runs)
+	if *count > 1 {
+		for _, r := range f.Suite {
+			fmt.Fprintf(stdout, "%-16s median %14.0f ns/op  min %14.0f  max %14.0f  (%d runs)\n",
+				r.Name, r.NsPerOp, r.NsPerOpMin, r.NsPerOpMax, r.Runs)
+		}
+	}
 	if err != nil {
 		// Same sink-loss class as the -json flush bug: the records
 		// collected before the failing benchmark are in f and must reach

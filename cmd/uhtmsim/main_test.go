@@ -255,6 +255,47 @@ func TestBenchOutSurvivesSuiteFailure(t *testing.T) {
 	}
 }
 
+// TestBenchCountSummarizesRuns: -count n runs the suite n times and
+// records each spec's median ns/op with its range.
+func TestBenchCountSummarizesRuns(t *testing.T) {
+	orig := benchRunSuiteFn
+	calls := 0
+	benchRunSuiteFn = func(logf func(string, ...any)) (bench.File, error) {
+		calls++
+		f := bench.File{Schema: bench.Schema, Go: "gotest"}
+		f.Suite = append(f.Suite, bench.Record{Name: "Only", Iters: 1, NsPerOp: float64(10 * calls)})
+		return f, nil
+	}
+	t.Cleanup(func() { benchRunSuiteFn = orig })
+
+	path := filepath.Join(t.TempDir(), "BENCH_X.json")
+	var out, errOut bytes.Buffer
+	if code := run([]string{"bench", "-count", "3", "-out", path}, &out, &errOut); code != 0 {
+		t.Fatalf("exit code = %d (stderr: %s)", code, errOut.String())
+	}
+	if calls != 3 {
+		t.Errorf("suite ran %d times, want 3", calls)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	doc, err := bench.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := doc.Suite[0]; r.NsPerOp != 20 || r.NsPerOpMin != 10 || r.NsPerOpMax != 30 || r.Runs != 3 {
+		t.Errorf("record %+v, want median 20 of 10..30 over 3 runs", r)
+	}
+	if !strings.Contains(out.String(), "median") {
+		t.Errorf("stdout lacks the median summary: %q", out.String())
+	}
+	if code := run([]string{"bench", "-count", "0"}, &out, &errOut); code != 2 {
+		t.Errorf("-count 0: exit code %d, want 2", code)
+	}
+}
+
 // TestBenchEmptyFailureWritesNothing: when the very first benchmark
 // fails there are no records to save; -out must not be clobbered with
 // an empty document.

@@ -41,7 +41,7 @@ var subcommands = []subcommand{
 	},
 	{
 		name:     "bench",
-		synopsis: "uhtmsim bench [-out path] [-compare baseline.json] [-tol f]",
+		synopsis: "uhtmsim bench [-count n] [-out path] [-compare baseline.json] [-tol f]",
 		desc:     "run the shared benchmark suite, optionally gating against a baseline",
 		run:      benchCmd,
 	},

@@ -25,6 +25,11 @@ type Record struct {
 	// "skiplist-slowdown-x"). encoding/json sorts map keys, so the file
 	// bytes are deterministic.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// Runs, NsPerOpMin and NsPerOpMax are set by Summarize when the
+	// suite ran more than once; NsPerOp is then the median.
+	Runs       int     `json:"runs,omitempty"`
+	NsPerOpMin float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax float64 `json:"ns_per_op_max,omitempty"`
 }
 
 // File is the whole BENCH_<n>.json document.
@@ -66,6 +71,51 @@ func RunSuite(logf func(format string, args ...any)) (File, error) {
 		f.Suite = append(f.Suite, rec)
 	}
 	return f, nil
+}
+
+// Summarize folds repeated runs of the suite into one file: per spec,
+// NsPerOp is the median of the runs' ns/op (the mean of the middle two
+// for an even count), NsPerOpMin/NsPerOpMax its range and Iters the
+// total; AllocsPerOp and BytesPerOp are the worst run's, so the gate
+// sees any run that allocated more; Metrics are the first run's. Specs
+// keep their first-seen order, and a spec missing from some runs (a
+// suite that failed partway) is summarized over the runs that have it.
+// A single run is returned unchanged.
+func Summarize(runs []File) File {
+	if len(runs) == 1 {
+		return runs[0]
+	}
+	var out File
+	if len(runs) > 0 {
+		out = File{Schema: runs[0].Schema, Go: runs[0].Go}
+	}
+	by := map[string][]Record{}
+	var order []string
+	for _, f := range runs {
+		for _, r := range f.Suite {
+			if by[r.Name] == nil {
+				order = append(order, r.Name)
+			}
+			by[r.Name] = append(by[r.Name], r)
+		}
+	}
+	for _, name := range order {
+		rs := by[name]
+		sum := rs[0]
+		sum.Runs, sum.Iters = len(rs), 0
+		ns := make([]float64, len(rs))
+		for i, r := range rs {
+			ns[i] = r.NsPerOp
+			sum.Iters += r.Iters
+			sum.AllocsPerOp = max(sum.AllocsPerOp, r.AllocsPerOp)
+			sum.BytesPerOp = max(sum.BytesPerOp, r.BytesPerOp)
+		}
+		sort.Float64s(ns)
+		sum.NsPerOp = (ns[(len(ns)-1)/2] + ns[len(ns)/2]) / 2
+		sum.NsPerOpMin, sum.NsPerOpMax = ns[0], ns[len(ns)-1]
+		out.Suite = append(out.Suite, sum)
+	}
+	return out
 }
 
 // Write emits the file as indented, deterministic JSON.

@@ -124,3 +124,30 @@ func TestReadRejectsWrongSchema(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 }
+
+// TestSummarizeRepeatedRuns: repeated suite runs fold into one record
+// per spec carrying the median ns/op and its range, the worst run's
+// allocation counts and the total iterations; a spec a failed run never
+// reached is summarized over the runs that have it, and a single run
+// comes back unchanged.
+func TestSummarizeRepeatedRuns(t *testing.T) {
+	run := func(a, b float64, allocs int64) File {
+		return File{Schema: Schema, Go: "gotest", Suite: []Record{rec("A", allocs, a), rec("B", 0, b)}}
+	}
+	partial := File{Schema: Schema, Go: "gotest", Suite: []Record{rec("A", 1, 40)}}
+	got := Summarize([]File{run(30, 5, 1), run(10, 7, 3), run(20, 6, 2), partial})
+	if len(got.Suite) != 2 || got.Suite[0].Name != "A" || got.Suite[1].Name != "B" {
+		t.Fatalf("suite %+v, want A then B", got.Suite)
+	}
+	a, b := got.Suite[0], got.Suite[1]
+	if a.NsPerOp != 25 || a.NsPerOpMin != 10 || a.NsPerOpMax != 40 || a.Runs != 4 || a.Iters != 4 || a.AllocsPerOp != 3 {
+		t.Errorf("A = %+v, want median 25 of 10..40 over 4 runs, 4 iters, 3 allocs", a)
+	}
+	if b.NsPerOp != 6 || b.NsPerOpMin != 5 || b.NsPerOpMax != 7 || b.Runs != 3 {
+		t.Errorf("B = %+v, want median 6 of 5..7 over 3 runs", b)
+	}
+	one := run(1, 2, 3)
+	if s := Summarize([]File{one}); s.Suite[0].Runs != 0 || s.Suite[0].NsPerOpMin != 0 {
+		t.Errorf("single run gained summary fields: %+v", s.Suite[0])
+	}
+}

@@ -161,14 +161,12 @@ func (c *Ctx) NTWriteU64(a mem.Addr, v uint64) {
 
 // NTReadBytes performs a non-transactional read of n bytes at a.
 func (c *Ctx) NTReadBytes(a mem.Addr, n int) []byte {
-	out := make([]byte, n)
 	first := true
 	c.m.rangeLines(a, n, func(la mem.Addr) {
 		c.m.accessEx(c.th, c.core, nil, la, false, !first)
 		first = false
 	})
-	c.m.copyOut(a, out)
-	return out
+	return c.m.store.ReadBytes(a, n)
 }
 
 // NTWriteBytes performs a non-transactional write of b at a.
@@ -178,7 +176,7 @@ func (c *Ctx) NTWriteBytes(a mem.Addr, b []byte) {
 		c.m.accessEx(c.th, c.core, nil, la, true, !first)
 		first = false
 	})
-	c.m.copyIn(a, b)
+	c.m.store.WriteBytes(a, b)
 }
 
 // NT returns a non-transactional accessor exposing the same method set

@@ -161,6 +161,18 @@ func (m *Machine) finishCommit(tx *Tx) {
 	for _, la := range tx.nvmList {
 		m.pendingPut(la, m.store.PeekLine(la))
 	}
+	// The ground-truth commit record (TrackCommits) goes in before any
+	// reclamation too: a pass this commit triggers persists the images,
+	// checkpoints past the commit mark and may truncate it, after which
+	// the commit log is the only evidence that the transaction
+	// committed. (Found by the small-ring crash sweep; see RECOVERY.md.)
+	if m.opts.TrackCommits {
+		writes := make(map[mem.Addr]mem.Line, len(tx.writeList))
+		for _, la := range tx.writeList {
+			writes[la] = m.store.PeekLine(la)
+		}
+		m.commitLog = append(m.commitLog, committedTx{ID: tx.id, Domain: tx.domain, Writes: writes})
+	}
 	tx.committing = false
 	m.maybeReclaimRedo(tx.core)
 	m.clearSticky()
@@ -176,14 +188,6 @@ func (m *Machine) finishCommit(tx *Tx) {
 	}
 	m.noteCommitChain(tx, s)
 	m.emit(trace.EvTxCommitDone, tx.core, tx.id, 0, 0, 0)
-
-	if m.opts.TrackCommits {
-		writes := make(map[mem.Addr]mem.Line, len(tx.writeList))
-		for _, la := range tx.writeList {
-			writes[la] = m.store.PeekLine(la)
-		}
-		m.commitLog = append(m.commitLog, committedTx{ID: tx.id, Domain: tx.domain, Writes: writes})
-	}
 
 	if m.byCore[tx.core] == tx {
 		m.byCore[tx.core] = nil
@@ -352,8 +356,13 @@ func (m *Machine) ReclaimLogs() {
 	m.hit(PointReclaimCkpt)
 	m.writeCheckpoint(low, dirty)
 	m.hit(PointReclaimRings)
+	// Each ring truncates its disposable prefix: groups aborted,
+	// committed at or below the low-water mark, or 2PC-prepared with a
+	// durably decided fate (prepareResolver), up to the first group that
+	// must survive. The ring's fate summary answers without decoding.
 	for i := 0; i < m.redoRings.Count(); i++ {
-		m.reclaimRing(m.redoRings.ForCore(i), low)
+		ring := m.redoRings.ForCore(i)
+		ring.Reclaim(ring.DisposablePrefix(low, m.prepareResolver))
 	}
 }
 
@@ -402,60 +411,6 @@ func (m *Machine) writeCheckpoint(low uint64, dirty int) {
 	m.store.PersistLine(m.ckptAddr, &l)
 	m.emit(trace.EvWALCheckpoint, -1, 0, 0, low, 0)
 	m.lastCkptBegin = begin
-}
-
-// reclaimRing truncates ring's disposable prefix: record groups whose
-// transaction is aborted, committed at or below the low-water mark, or
-// 2PC-prepared with a durably decided fate (prepareResolver). The walk
-// stops at the first record that must survive — a mid-commit
-// transaction's group, a commit above the mark, or an undecided prepare
-// — so truncation never splits a group (a transaction's records are
-// contiguous on its ring and fate is uniform per transaction).
-func (m *Machine) reclaimRing(ring *wal.Log, low uint64) {
-	if m.ringFate == nil {
-		m.ringFate = make(map[uint64]ringFate)
-	}
-	clear(m.ringFate)
-	head := ring.Head()
-	for seq := ring.Tail(); seq < head; seq++ {
-		r, ok := ring.Read(seq)
-		if !ok {
-			continue
-		}
-		f := m.ringFate[r.TxID]
-		switch r.Type {
-		case wal.RecCommit:
-			f.committed = true
-			f.commitLSN = r.LSN
-		case wal.RecAbort:
-			f.aborted = true
-		case wal.RecPrepare:
-			f.prepared = true
-		}
-		m.ringFate[r.TxID] = f
-	}
-	stop := ring.Tail()
-	for seq := stop; seq < head; seq++ {
-		r, ok := ring.Read(seq)
-		if !ok {
-			break // undecodable live slot: keep everything from here on
-		}
-		f := m.ringFate[r.TxID]
-		disposable := false
-		switch {
-		case f.aborted && !f.committed:
-			disposable = true
-		case f.committed:
-			disposable = f.commitLSN <= low
-		case f.prepared:
-			disposable = m.prepareResolver != nil && m.prepareResolver(r.TxID)
-		}
-		if !disposable {
-			break
-		}
-		stop = seq + 1
-	}
-	ring.Reclaim(stop)
 }
 
 // persistPending force-drains the committed image of every NVM line
@@ -509,8 +464,11 @@ type RecoveryStats struct {
 // latest complete durable fuzzy checkpoint, then replays the committed
 // redo records of every core's NVM log onto the durable image, ignoring
 // records at or below the checkpoint's low-water LSN (their data is
-// persisted in place; see ReclaimLogs). DRAM contents and the undo logs
-// are gone; the programmer keeps recovery-relevant structures in NVM.
+// persisted in place; see ReclaimLogs). Every persistent ring's
+// in-memory window and fate summary is resynced from its durable
+// control block on the way (wal.Log.Resync). DRAM contents and the
+// undo logs are gone; the programmer keeps recovery-relevant structures
+// in NVM.
 // All evidence is read from the durable image, so calling it without a
 // preceding Crash gives the same answer a real power failure would.
 func (m *Machine) Recover() RecoveryStats {
@@ -521,6 +479,7 @@ func (m *Machine) Recover() RecoveryStats {
 		st.CkptRecords = len(ck.Active) + 2
 	}
 	st.ReplayStats = m.redoRings.ReplayAll(st.CheckpointLSN)
+	m.ckptLog.Resync()
 	st.ScanPS = sim.Time(st.ScannedRecs+st.CkptRecords) * 2 * m.cfg.NVMReadLatency
 	st.ReplayPS = sim.Time(st.AppliedLines) * m.cfg.NVMWriteLatency
 	st.PersistPS = sim.Time(st.AppliedLines) * m.cfg.NVMWriteLatency

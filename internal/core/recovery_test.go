@@ -5,6 +5,7 @@ import (
 
 	"uhtm/internal/mem"
 	"uhtm/internal/sim"
+	"uhtm/internal/wal"
 )
 
 // TestRecoveryDiscardsUncommitted: a power failure in the middle of a
@@ -183,5 +184,57 @@ func TestDRAMIsVolatile(t *testing.T) {
 	}
 	if got := m.Store().ReadU64(na); got != 22 {
 		t.Errorf("NVM value = %d after recovery", got)
+	}
+}
+
+// TestRecoveryResyncsRingWindow is the regression test for recovery
+// leaving a redo ring's volatile head one past its durable head. A
+// power failure between the commit mark's write and its control-block
+// update (wal.redo.append.ctrl) leaves the mark durable but outside the
+// recovery window, so the unacknowledged transaction is correctly
+// discarded. Without a resync the next commit on the same ring then
+// persisted the stale in-memory head, pulling that mark into the
+// window, and a second crash replayed the transaction.
+func TestRecoveryResyncsRingWindow(t *testing.T) {
+	eng, m := newTestMachine(DefaultOptions())
+	al := mem.NewAllocator(mem.NVM)
+	a, b := al.AllocLines(1), al.AllocLines(1)
+	afterMark := false
+	m.SetCrashpoint(func(point string) {
+		switch {
+		case point == PointCommitMark:
+			afterMark = true
+		case afterMark && point == "wal.redo."+wal.PointAppendCtrl:
+			eng.HaltNow()
+		}
+	})
+	eng.Spawn("t", func(th *sim.Thread) {
+		m.NewCtx(th, 0).Run(func(tx *Tx) { tx.WriteU64(b, 0xBAD) })
+	})
+	eng.Run()
+	if !eng.Halted() {
+		t.Fatal("engine did not halt at the commit mark's control-block update")
+	}
+	m.SetCrashpoint(nil)
+	m.Crash()
+	m.Recover()
+	if got := m.Store().ReadU64(b); got != 0 {
+		t.Fatalf("after the first recovery b = %#x, want 0", got)
+	}
+
+	// One more commit on the same core's ring, then a second crash.
+	eng.Restart()
+	eng.Recycle()
+	eng.Spawn("t2", func(th *sim.Thread) {
+		m.NewCtx(th, 0).Run(func(tx *Tx) { tx.WriteU64(a, 1) })
+	})
+	eng.Run()
+	m.Crash()
+	m.Recover()
+	if got := m.Store().ReadU64(b); got != 0 {
+		t.Errorf("after the second recovery b = %#x, want 0: the unacknowledged commit was replayed", got)
+	}
+	if got := m.Store().ReadU64(a); got != 1 {
+		t.Errorf("after the second recovery a = %#x, want the acknowledged 1", got)
 	}
 }

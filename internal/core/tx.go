@@ -222,14 +222,12 @@ func (tx *Tx) WriteU64(a mem.Addr, v uint64) {
 // ReadBytes transactionally reads n bytes starting at a into a fresh
 // slice, touching every covered line.
 func (tx *Tx) ReadBytes(a mem.Addr, n int) []byte {
-	out := make([]byte, n)
 	first := true
 	tx.m.rangeLines(a, n, func(la mem.Addr) {
 		tx.m.accessEx(tx.th, tx.core, tx, la, false, !first)
 		first = false
 	})
-	tx.m.copyOut(a, out)
-	return out
+	return tx.m.store.ReadBytes(a, n)
 }
 
 // WriteBytes transactionally writes b starting at a.
@@ -239,7 +237,7 @@ func (tx *Tx) WriteBytes(a mem.Addr, b []byte) {
 		tx.m.accessEx(tx.th, tx.core, tx, la, true, !first)
 		first = false
 	})
-	tx.m.copyIn(a, b)
+	tx.m.store.WriteBytes(a, b)
 }
 
 // Abort explicitly aborts the current attempt (xabort-style). Run will
@@ -255,29 +253,6 @@ func (m *Machine) rangeLines(a mem.Addr, n int, fn func(mem.Addr)) {
 	}
 	for la := mem.LineOf(a); la < a+mem.Addr(n); la += mem.LineSize {
 		fn(la)
-	}
-}
-
-// copyOut reads bytes from the live store without access accounting.
-func (m *Machine) copyOut(a mem.Addr, dst []byte) {
-	for i := range dst {
-		addr := a + mem.Addr(i)
-		l := m.store.PeekLine(addr)
-		dst[i] = l[mem.LineOffset(addr)]
-	}
-}
-
-// copyIn writes bytes to the live store without access accounting.
-func (m *Machine) copyIn(a mem.Addr, src []byte) {
-	i := 0
-	for i < len(src) {
-		addr := a + mem.Addr(i)
-		la := mem.LineOf(addr)
-		off := mem.LineOffset(addr)
-		l := m.store.PeekLine(la)
-		n := copy(l[off:], src[i:])
-		m.store.PokeLine(la, &l)
-		i += n
 	}
 }
 

@@ -111,6 +111,61 @@ func TestExhaustiveSmallSweep(t *testing.T) {
 	t.Logf("verified %d injections across %d points", len(injs), len(hits))
 }
 
+// ringPoints is the ring workload's pinned outcome list: the points its
+// exhaustive sweep must visit. With no explicit reclamation pass in the
+// workload, every core.reclaim.* visit is a pass a commit triggered
+// from finishCommit, so the sweep crashes inside the window where a
+// reclaim-before-register ordering (RECOVERY.md §7 bug 1) loses an
+// acknowledged commit.
+var ringPoints = []string{
+	core.PointCommitMark,
+	core.PointCommitCleanup,
+	core.PointReclaimBegin,
+	core.PointReclaimImage,
+	core.PointReclaimDrain,
+	core.PointReclaimCkpt,
+	core.PointReclaimCell,
+	core.PointReclaimRings,
+	"wal.ckpt.append.record",
+	"wal.ckpt.reclaim.ctrl",
+	"wal.redo.reclaim.ctrl",
+	mem.PointPersistLine,
+}
+
+// TestExhaustiveRingSweep injects every (point, visit) pair of the
+// small-ring workload; recovery must satisfy the committed-prefix
+// oracle at all of them.
+func TestExhaustiveRingSweep(t *testing.T) {
+	w := RingWorkload()
+	if w.ReclaimMid {
+		t.Fatal("ring workload must leave every reclamation pass to commits")
+	}
+	injs, hits, err := Enumerate(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range ringPoints {
+		if hits[p] == 0 {
+			t.Errorf("ring workload never visited %s", p)
+		}
+	}
+	if testing.Short() {
+		injs = Sample(injs, 64, w.Seed)
+	}
+	fails := 0
+	for _, inj := range injs {
+		if o := RunInjection(w, inj); !o.OK() {
+			fails++
+			if fails <= 10 {
+				t.Errorf("%s visit %d: %s", inj.Point, inj.Visit, o.Verdict)
+			}
+		}
+	}
+	if fails > 0 {
+		t.Errorf("%d/%d injections violated recovery invariants", fails, len(injs))
+	}
+}
+
 // TestSampledLargeSweep checks the seeded-random mode on the large
 // workload: a deterministic sample of its thousands of injection points.
 func TestSampledLargeSweep(t *testing.T) {

@@ -34,6 +34,10 @@ type Workload struct {
 	// through its transactions, so the sweep also lands crashes inside
 	// ReclaimLogs (in-place image persists, ring reclamation).
 	ReclaimMid bool
+	// ReserveLogArea is passed to core.Options.ReserveLogArea: bytes
+	// withheld from the top of the NVM log area, which shrinks every
+	// redo ring (zero keeps the full-size rings).
+	ReserveLogArea mem.Addr
 }
 
 // SmallWorkload is the exhaustive-sweep shape: every (point, visit)
@@ -68,6 +72,22 @@ func LargeWorkload() Workload {
 		Seed:            42,
 		ReclaimMid:      true,
 	}
+}
+
+// RingWorkload is the small workload on redo rings of a few dozen
+// records each, with no explicit reclamation pass: every ReclaimLogs it
+// sweeps is one a commit triggers by crossing the rings' half-full
+// mark — the window of RECOVERY.md §7 bug 1, which the full-size rings
+// of the other workloads never reach. Swept exhaustively.
+func RingWorkload() Workload {
+	w := SmallWorkload()
+	w.Name = "crash-ring"
+	w.TxPerThread = 8
+	w.ReclaimMid = false
+	// 8 KiB of NVM log area remain: the checkpoint cell and ring, then
+	// two redo rings of 32 records.
+	w.ReserveLogArea = mem.LogAreaSize - 8<<10
+	return w
 }
 
 // geometry shrinks the Table III machine so transactional footprints
@@ -112,6 +132,7 @@ func (w Workload) build(in *Injector) *runState {
 	eng := sim.NewEngine(w.Seed)
 	opts := core.DefaultOptions()
 	opts.TrackCommits = true
+	opts.ReserveLogArea = w.ReserveLogArea
 	m := core.NewMachine(eng, w.geometry(), opts)
 	if in != nil {
 		in.halt = eng.HaltNow

@@ -11,6 +11,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -201,12 +202,13 @@ func (im *image) line(idx uint64) *Line {
 	return &p.lines[off]
 }
 
-// read returns the line at idx without materializing it.
-func (im *image) read(idx uint64) Line {
+// peek returns a pointer to the line at idx without materializing it,
+// or nil when its page was never touched (the line reads as zero).
+func (im *image) peek(idx uint64) *Line {
 	if p := im.pages[idx>>PageShift]; p != nil {
-		return p.lines[idx&(PageLines-1)]
+		return &p.lines[idx&(PageLines-1)]
 	}
-	return Line{}
+	return nil
 }
 
 // forEach visits every materialized line in ascending address order.
@@ -353,13 +355,8 @@ func (s *Store) ReadU64(a Addr) uint64 {
 	if a%8 != 0 {
 		panic("mem: unaligned ReadU64")
 	}
-	l := s.lineLive(a)
 	off := LineOffset(a)
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(l[off+i])
-	}
-	return v
+	return binary.LittleEndian.Uint64(s.lineLive(a)[off : off+8])
 }
 
 // DurableU64 reads the 8-byte word at a from the durable NVM image
@@ -370,13 +367,11 @@ func (s *Store) DurableU64(a Addr) uint64 {
 	if a%8 != 0 {
 		panic("mem: unaligned DurableU64")
 	}
-	l := s.durable.read(LineIndex(a))
 	off := LineOffset(a)
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(l[off+i])
+	if l := s.durable.peek(LineIndex(a)); l != nil {
+		return binary.LittleEndian.Uint64(l[off : off+8])
 	}
-	return v
+	return 0
 }
 
 // WriteU64 writes the 8-byte word at a in the live image (checker use).
@@ -384,29 +379,75 @@ func (s *Store) WriteU64(a Addr, v uint64) {
 	if a%8 != 0 {
 		panic("mem: unaligned WriteU64")
 	}
-	l := s.lineLive(a)
 	off := LineOffset(a)
-	for i := 0; i < 8; i++ {
-		l[off+i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(s.lineLive(a)[off:off+8], v)
 }
 
 // ReadBytes copies n bytes starting at a from the live image (checker
 // and setup use — no latency accounting).
 func (s *Store) ReadBytes(a Addr, n int) []byte {
 	out := make([]byte, n)
-	for i := range out {
-		l := s.lineLive(a + Addr(i))
-		out[i] = l[LineOffset(a+Addr(i))]
-	}
+	s.ReadInto(a, out)
 	return out
 }
 
-// WriteBytes copies b into the live image starting at a (checker use).
+// ReadInto fills dst from the live image starting at a, one line at a
+// time (no latency accounting). Like every live access it materializes
+// the lines it touches.
+func (s *Store) ReadInto(a Addr, dst []byte) {
+	for len(dst) > 0 {
+		n := copy(dst, s.lineLive(a)[LineOffset(a):])
+		dst = dst[n:]
+		a += Addr(n)
+	}
+}
+
+// DurableInto fills dst from the durable image starting at a, one line
+// at a time, without materializing anything (recovery reads).
+func (s *Store) DurableInto(a Addr, dst []byte) {
+	for len(dst) > 0 {
+		var n int
+		if l := s.durable.peek(LineIndex(a)); l != nil {
+			n = copy(dst, l[LineOffset(a):])
+		} else {
+			n = min(len(dst), LineSize-LineOffset(a))
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		a += Addr(n)
+	}
+}
+
+// WriteBytes copies b into the live image starting at a, one line at a
+// time (checker use — no latency accounting).
 func (s *Store) WriteBytes(a Addr, b []byte) {
-	for i := range b {
-		l := s.lineLive(a + Addr(i))
-		l[LineOffset(a+Addr(i))] = b[i]
+	for len(b) > 0 {
+		n := copy(s.lineLive(a)[LineOffset(a):], b)
+		b = b[n:]
+		a += Addr(n)
+	}
+}
+
+// WriteThrough copies b into the live image starting at a, charging one
+// medium write per line touched (WriteLine's accounting); with persist
+// set, each touched line then persists whole (PersistLine, with its
+// injection point and trace event) before the next line is written.
+// It is the log-append path: one page lookup and one copy per image
+// per line.
+func (s *Store) WriteThrough(a Addr, b []byte, persist bool) {
+	for len(b) > 0 {
+		l := s.lineLive(a)
+		n := copy(l[LineOffset(a):], b)
+		if KindOf(a) == DRAM {
+			s.DRAMWrites++
+		} else {
+			s.NVMWrites++
+		}
+		if persist {
+			s.PersistLine(a, l)
+		}
+		b = b[n:]
+		a += Addr(n)
 	}
 }
 
@@ -428,20 +469,45 @@ func (s *Store) PersistLine(a Addr, src *Line) {
 
 // DurableLine returns the durable NVM contents of the line containing a.
 func (s *Store) DurableLine(a Addr) Line {
-	return s.durable.read(LineIndex(a))
+	if l := s.durable.peek(LineIndex(a)); l != nil {
+		return *l
+	}
+	return Line{}
 }
 
 // PersistLiveNVM snapshots every live NVM line into the durable image —
 // initialization durability, the state a formatted persistent heap has
 // before any transactions run. Call it after non-transactional setup
-// (prepopulation) and before crash-injection windows.
+// (prepopulation) and before crash-injection windows. It works a page
+// at a time: the log areas and the DRAM region are whole pages, and a
+// fully materialized 64-line run copies in one move.
 func (s *Store) PersistLiveNVM() {
-	s.live.forEach(func(idx uint64, l *Line) {
-		a := AddrOfLineIndex(idx)
-		if KindOf(a) == NVM && !InLogArea(a) {
-			*s.durable.line(idx) = *l
+	for pi, p := range s.live.pages {
+		if p == nil {
+			continue
 		}
-	})
+		a := AddrOfLineIndex(uint64(pi) << PageShift)
+		if KindOf(a) != NVM || InLogArea(a) {
+			continue
+		}
+		d := s.durable.pages[pi]
+		if d == nil {
+			d = new(linePage)
+			s.durable.pages[pi] = d
+		}
+		for w, word := range p.mat {
+			d.mat[w] |= word
+			if word == ^uint64(0) {
+				copy(d.lines[w*64:w*64+64], p.lines[w*64:w*64+64])
+				continue
+			}
+			for word != 0 {
+				off := w*64 + bits.TrailingZeros64(word)
+				d.lines[off] = p.lines[off]
+				word &= word - 1
+			}
+		}
+	}
 }
 
 // Crash simulates an instantaneous power failure: the live image is

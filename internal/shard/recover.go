@@ -57,12 +57,14 @@ func (c *Cluster) Recover() Recovery {
 	}
 
 	// Coordinator evidence, read from shard 0's durable image (after
-	// Crash the live image is the durable one).
+	// Crash the live image is the durable one); the decision log's
+	// window is resynced from its durable control block on the way.
 	maxSeq := c.seq
 	if c.decLog != nil {
 		rec.Cell = c.shards[0].m.Store().ReadU64(c.cellAddr)
 		maxSeq = max(maxSeq, rec.Cell)
-		for _, r := range c.decLog.Records(true) {
+		decs, _ := c.decLog.Resync()
+		for _, r := range decs {
 			switch r.Type {
 			case wal.RecCommit:
 				rec.DecidedCommit[r.LSN] = true

@@ -214,6 +214,9 @@ type Log struct {
 	traceNow func() int64
 	ringCore int
 
+	// fates is the volatile fate summary reclamation reads (fate.go).
+	fates fates
+
 	// Appends counts records written since creation (statistics).
 	Appends uint64
 }
@@ -309,46 +312,13 @@ func (l *Log) slotAddr(seq uint64) mem.Addr {
 	return l.data + mem.Addr((seq%l.slots)*RecordSize)
 }
 
-// writeBytes copies b into simulated memory at a, persisting touched
-// lines when the ring is durable.
-func (l *Log) writeBytes(a mem.Addr, b []byte) {
-	for len(b) > 0 {
-		la := mem.LineOf(a)
-		off := mem.LineOffset(a)
-		n := mem.LineSize - off
-		if n > len(b) {
-			n = len(b)
-		}
-		line := l.store.PeekLine(la)
-		copy(line[off:off+n], b[:n])
-		l.store.WriteLine(la, &line)
-		if l.persist {
-			l.store.PersistLine(la, &line)
-		}
-		a += mem.Addr(n)
-		b = b[n:]
-	}
-}
-
 // readBytes fills b from simulated memory at a. When durable is set it
 // reads the durable image (crash recovery); otherwise the live image.
 func (l *Log) readBytes(a mem.Addr, b []byte, durable bool) {
-	for len(b) > 0 {
-		la := mem.LineOf(a)
-		off := mem.LineOffset(a)
-		n := mem.LineSize - off
-		if n > len(b) {
-			n = len(b)
-		}
-		var line mem.Line
-		if durable {
-			line = l.store.DurableLine(la)
-		} else {
-			line = l.store.PeekLine(la)
-		}
-		copy(b[:n], line[off:off+n])
-		a += mem.Addr(n)
-		b = b[n:]
+	if durable {
+		l.store.DurableInto(a, b)
+	} else {
+		l.store.ReadInto(a, b)
 	}
 }
 
@@ -356,7 +326,7 @@ func (l *Log) writeCtrl() {
 	var buf [16]byte
 	putU64(buf[0:], l.head)
 	putU64(buf[8:], l.tail)
-	l.writeBytes(l.base, buf[:])
+	l.store.WriteThrough(l.base, buf[:], l.persist)
 }
 
 // Append adds a record to the ring and returns its sequence number. It
@@ -371,8 +341,9 @@ func (l *Log) Append(r Record) uint64 {
 	encode(r, &buf)
 	seq := l.head
 	l.hit(PointAppendRecord)
-	l.writeBytes(l.slotAddr(seq), buf[:])
+	l.store.WriteThrough(l.slotAddr(seq), buf[:], l.persist)
 	l.head++
+	l.fates.note(r.TxID, r.Type, r.LSN, seq)
 	l.Appends++
 	l.hit(PointAppendCtrl)
 	l.writeCtrl()
@@ -392,6 +363,7 @@ func (l *Log) Reclaim(seq uint64) {
 	if seq > l.tail {
 		l.hit(PointReclaimCtrl)
 		l.tail = seq
+		l.fates.truncate(seq)
 		l.writeCtrl()
 		if l.tracer != nil {
 			l.tracer.Emit(l.traceNow(), l.ringCore, trace.EvWALTruncate,
@@ -533,9 +505,7 @@ func (l *Log) records(durable bool) (out []Record, torn int) {
 	}
 	out = make([]Record, 0, head-tail)
 	for seq := tail; seq < head; seq++ {
-		var buf [RecordSize]byte
-		l.readBytes(l.slotAddr(seq), buf[:], durable)
-		if r, ok := decode(&buf); ok {
+		if r, ok := l.readRecord(seq, durable); ok {
 			out = append(out, r)
 		} else {
 			torn++
@@ -551,6 +521,32 @@ func (l *Log) RecoverWindow() (head, tail uint64) {
 	var buf [16]byte
 	l.readBytes(l.base, buf[:], true)
 	return getU64(buf[0:]), getU64(buf[8:])
+}
+
+// Resync makes the ring's volatile state match its durable state after
+// a crash: head and tail are re-read from the durable control block
+// (the in-memory copies are volatile — a crash between a record's write
+// and its control-block update leaves the in-memory head one past the
+// durable one, and the next append would then persist a window that
+// reaches over the unacknowledged record), and the fate summary is
+// rebuilt from the durable window. It returns the window's validated
+// records and the number of torn slots, so recovery decodes the window
+// once for both replay and the summary.
+func (l *Log) Resync() (recs []Record, torn int) {
+	l.head, l.tail = l.RecoverWindow()
+	l.fates.reset()
+	recs = make([]Record, 0, l.head-l.tail)
+	for seq := l.tail; seq < l.head; seq++ {
+		r, ok := l.readRecord(seq, true)
+		if !ok {
+			torn++
+			l.fates.noteTorn(seq)
+			continue
+		}
+		recs = append(recs, r)
+		l.fates.note(r.TxID, r.Type, r.LSN, seq)
+	}
+	return recs, torn
 }
 
 // ReplayStats reports what a redo-log replay did.
@@ -657,7 +653,8 @@ func (r *Rings) Appends() uint64 {
 	return n
 }
 
-// ReplayAll performs crash recovery across all cores' rings. Committed
+// ReplayAll performs crash recovery across all cores' rings, resyncing
+// each ring (Resync) from the window it decodes. Committed
 // transactions are applied in global commit order (the LSN on their
 // commit marks), so cross-core writes to the same line resolve to the
 // newest committed value — as they would with the paper's single
@@ -682,7 +679,7 @@ func (r *Rings) ReplayAll(ckpt uint64) ReplayStats {
 	torn, scanned := 0, 0
 	for _, l := range r.logs {
 		store = l.store
-		recs, t := l.records(true)
+		recs, t := l.Resync()
 		torn += t
 		scanned += len(recs) + t
 		for _, rec := range recs {

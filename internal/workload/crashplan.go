@@ -29,7 +29,8 @@ const shardSamplesFullScale = 32
 // seeded-random sample of the large workload's pairs, plus the sharded
 // cluster — every 2PC protocol point (prepare logged, decision logged,
 // apply mark, per-line apply, resolution-cell persist) exhaustively and
-// a sample of the machine-level points underneath it — each as an
+// a sample of the machine-level points underneath it — plus every pair
+// of the small-ring workload (commit-triggered reclamation), each as an
 // independent deterministic simulation fanned out across the harness
 // worker pool. The returned results carry one record per injection
 // (Point/Visit/Verdict populated) in a stable order; the table folds
@@ -43,9 +44,11 @@ func RunCrashSweep(opt RunOptions) (*stats.Table, []Result, error) {
 
 	small := crash.SmallWorkload()
 	large := crash.LargeWorkload()
+	ring := crash.RingWorkload()
 	if opt.seedOverride() {
 		small.Seed = opt.Seed
 		large.Seed = opt.Seed
+		ring.Seed = opt.Seed
 	}
 
 	smallInjs, _, err := crash.Enumerate(small)
@@ -94,10 +97,14 @@ func RunCrashSweep(opt RunOptions) (*stats.Table, []Result, error) {
 	}
 	shardJobs := append(twoPC, crash.Sample(machine, nShard, scfg.Seed)...)
 
-	specs := make([]harness.Spec[Result], len(jobs), len(jobs)+len(shardJobs))
-	for i, j := range jobs {
-		j := j
-		specs[i] = harness.Spec[Result]{
+	ringInjs, _, err := crash.Enumerate(ring)
+	if err != nil {
+		return nil, nil, err
+	}
+
+	specs := make([]harness.Spec[Result], 0, len(jobs)+len(shardJobs)+len(ringInjs))
+	machineSpec := func(j job) harness.Spec[Result] {
+		return harness.Spec[Result]{
 			Experiment: "crash",
 			System:     j.w.Name,
 			Bench:      j.inj.Point,
@@ -119,6 +126,9 @@ func RunCrashSweep(opt RunOptions) (*stats.Table, []Result, error) {
 				}
 			},
 		}
+	}
+	for _, j := range jobs {
+		specs = append(specs, machineSpec(j))
 	}
 	for _, inj := range shardJobs {
 		inj := inj
@@ -145,6 +155,11 @@ func RunCrashSweep(opt RunOptions) (*stats.Table, []Result, error) {
 				}
 			},
 		})
+	}
+	// The small-ring workload goes last, so the records of the others
+	// keep their positions.
+	for _, inj := range ringInjs {
+		specs = append(specs, machineSpec(job{ring, inj}))
 	}
 	results := harness.Execute(specs, opt.Par)
 	return foldCrash(results), results, nil
