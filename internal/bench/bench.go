@@ -22,6 +22,7 @@ import (
 	"uhtm/internal/shard"
 	"uhtm/internal/signature"
 	"uhtm/internal/sim"
+	"uhtm/internal/stats"
 	"uhtm/internal/wal"
 	"uhtm/internal/workload"
 )
@@ -72,12 +73,23 @@ func mustResult(b *testing.B, rs []workload.Result, system string, bench workloa
 	return nil
 }
 
+// experiment regenerates one registered experiment at the given scale,
+// failing the benchmark if it cannot run.
+func experiment(b *testing.B, name string, scale float64) (*stats.Table, []workload.Result) {
+	b.Helper()
+	tbl, rs, err := workload.RunExperiment(name, workload.RunOptions{Scale: scale})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return tbl, rs
+}
+
 // Fig2 regenerates Figure 2 (LLC-Bounded vs Ideal) and reports the
 // SkipList slowdown ratio.
 func Fig2(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, rs := workload.Fig2(0.25)
+		_, rs := experiment(b, "fig2", 0.25)
 		bounded := mustResult(b, rs, "LLC-Bounded", workload.BenchSkipList)
 		ideal := mustResult(b, rs, "Ideal", workload.BenchSkipList)
 		if bounded.Throughput() <= 0 {
@@ -92,7 +104,7 @@ func Fig2(b *testing.B) {
 func Fig6(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, rs := workload.Fig6(0.125)
+		_, rs := experiment(b, "fig6", 0.125)
 		base := mustResult(b, rs, "LLC-Bounded", workload.BenchSkipList)
 		uhtm := mustResult(b, rs, "4k_opt", workload.BenchSkipList)
 		if base.Throughput() <= 0 {
@@ -107,7 +119,7 @@ func Fig6(b *testing.B) {
 func Fig7(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, rs := workload.Fig7(0.125)
+		_, rs := experiment(b, "fig7", 0.125)
 		found := false
 		for _, r := range rs {
 			if r.System == "4k_opt" {
@@ -128,7 +140,7 @@ func Fig7(b *testing.B) {
 func Fig8(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, rs := workload.Fig8(0.125)
+		_, rs := experiment(b, "fig8", 0.125)
 		if len(rs) < 2 {
 			b.Fatalf("fig8 grid has %d results, want >= 2", len(rs))
 		}
@@ -144,7 +156,7 @@ func Fig8(b *testing.B) {
 func Fig9a(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, rs := workload.Fig9a(0.25)
+		_, rs := experiment(b, "fig9a", 0.25)
 		var sig, opt float64
 		for _, r := range rs {
 			if r.System == "512_sig" && sig == 0 {
@@ -165,7 +177,7 @@ func Fig9a(b *testing.B) {
 func Fig9b(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, rs := workload.Fig9b(0.25)
+		_, rs := experiment(b, "fig9b", 0.25)
 		if len(rs) == 0 {
 			b.Fatal("fig9b produced no results")
 		}
@@ -178,7 +190,7 @@ func Fig9b(b *testing.B) {
 func Fig10(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tbl, _ := workload.Fig10(0.25)
+		tbl, _ := experiment(b, "fig10", 0.25)
 		if tbl == nil || len(tbl.Rows) == 0 {
 			b.Fatal("fig10 produced an empty table")
 		}
@@ -198,7 +210,7 @@ func Fig10(b *testing.B) {
 func Ablations(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tbl, rs := workload.Ablations(0.25)
+		tbl, rs := experiment(b, "ablate", 0.25)
 		if tbl == nil || len(rs) == 0 {
 			b.Fatal("ablations produced no results")
 		}

@@ -238,3 +238,59 @@ func TestRecoveryResyncsRingWindow(t *testing.T) {
 		t.Errorf("after the second recovery a = %#x, want the acknowledged 1", got)
 	}
 }
+
+// TestRecoveryReclaimsAbandonedCommit: a halt after a commit's RecWrite
+// records but before its mark leaves an unmarked group in the durable
+// window. Recovery discards the transaction, and it can never commit
+// afterwards, so reclamation must dispose of its group too. Before
+// wal.Log.Resync marked such groups dead, reclamation stopped at the
+// group forever, and on a small ring the next commits filled it until
+// wal.Append panicked.
+func TestRecoveryReclaimsAbandonedCommit(t *testing.T) {
+	opts := DefaultOptions()
+	opts.ReserveLogArea = mem.LogAreaSize - 32<<10 // small redo rings
+	eng, m := newTestMachine(opts)
+	al := mem.NewAllocator(mem.NVM)
+	a := al.AllocLines(1)
+	m.SetCrashpoint(func(point string) {
+		if point == PointCommitMark {
+			eng.HaltNow()
+		}
+	})
+	eng.Spawn("t", func(th *sim.Thread) {
+		m.NewCtx(th, 0).Run(func(tx *Tx) { tx.WriteU64(a, 0xBAD) })
+	})
+	eng.Run()
+	if !eng.Halted() {
+		t.Fatal("engine did not halt at the commit mark")
+	}
+	m.SetCrashpoint(nil)
+	m.Crash()
+	m.Recover()
+	if got := m.RedoLog(0).Len(); got == 0 {
+		t.Fatal("the halted commit left no records in the durable window")
+	}
+
+	// Twice the ring's capacity in one-line commits on the same core.
+	n := 2 * int(m.RedoLog(0).Slots())
+	eng.Restart()
+	eng.Recycle()
+	eng.Spawn("t2", func(th *sim.Thread) {
+		c := m.NewCtx(th, 0)
+		for i := 1; i <= n; i++ {
+			v := uint64(i)
+			c.Run(func(tx *Tx) { tx.WriteU64(a, v) })
+		}
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("commits after recovery: %v", r)
+			}
+		}()
+		eng.Run()
+	}()
+	if got := m.Store().ReadU64(a); got != uint64(n) {
+		t.Errorf("a = %d after %d commits, want %d", got, n, n)
+	}
+}

@@ -94,10 +94,52 @@ func (r *OpRing) Len(m txds.Mem) int {
 }
 
 // HybridPart is one partition of the HiKV-style store: a DRAM B-Tree
-// index for scans and an NVM HashMap for point operations.
+// index for scans and an NVM HashMap for point operations. The table is
+// the durable truth; the index holds key presence only and is rebuilt
+// from the table after a power failure. Its operations take a txds.Mem,
+// so transactions and set-up code share them.
 type HybridPart struct {
 	Index *txds.BTree   // DRAM
 	Table *txds.HashMap // NVM
+}
+
+// NewHybridPart builds an empty partition: the index on dal, the table
+// (with the given bucket count) on nal.
+func NewHybridPart(setup txds.Mem, dal, nal *mem.Allocator, buckets int) HybridPart {
+	return HybridPart{
+		Index: txds.NewBTree(setup, dal),
+		Table: txds.NewHashMap(setup, nal, buckets),
+	}
+}
+
+// Put inserts or updates key's value in the table and its index entry.
+func (p HybridPart) Put(m txds.Mem, key uint64, val []byte) {
+	p.Table.Put(m, key, val)
+	p.Index.Put(m, key, nil) // index entry: key presence for scans
+}
+
+// Scan walks the index in ascending key order from from and returns up
+// to n keys present in the table, with their values. Keys the table no
+// longer holds (deleted from the table only) are skipped.
+func (p HybridPart) Scan(m txds.Mem, from uint64, n int) (keys []uint64, vals [][]byte) {
+	p.Index.Scan(m, from, func(k uint64, _ mem.Addr) bool {
+		if v, ok := p.Table.Get(m, k); ok {
+			keys = append(keys, k)
+			vals = append(vals, v)
+		}
+		return len(keys) < n
+	})
+	return keys, vals
+}
+
+// Reindex rebuilds the index from the table's keys on a fresh DRAM
+// arena dal — recovery after a power failure, which loses DRAM while
+// the NVM table survives.
+func (p *HybridPart) Reindex(m txds.Mem, dal *mem.Allocator) {
+	p.Index = txds.NewBTree(m, dal)
+	for _, k := range p.Table.Keys(m) {
+		p.Index.Put(m, k, nil)
+	}
 }
 
 // HybridIndex is the HiKV-style store. Following HiKV's design, the
@@ -113,10 +155,7 @@ type HybridIndex struct {
 func NewHybridIndex(setup txds.Mem, dal, nal *mem.Allocator, buckets, parts int) *HybridIndex {
 	h := &HybridIndex{}
 	for i := 0; i < parts; i++ {
-		h.Parts = append(h.Parts, HybridPart{
-			Index: txds.NewBTree(setup, dal),
-			Table: txds.NewHashMap(setup, nal, buckets),
-		})
+		h.Parts = append(h.Parts, NewHybridPart(setup, dal, nal, buckets))
 	}
 	return h
 }
@@ -129,8 +168,7 @@ func (h *HybridIndex) PutBatch(c *core.Ctx, part int, batch []KV) {
 	p := h.Parts[part]
 	c.Run(func(tx *core.Tx) {
 		for _, kvp := range batch {
-			p.Table.Put(tx, kvp.Key, kvp.Val)
-			p.Index.Put(tx, kvp.Key, nil) // index entry: key presence for scans
+			p.Put(tx, kvp.Key, kvp.Val)
 		}
 	})
 }
@@ -147,15 +185,8 @@ func (h *HybridIndex) Get(c *core.Ctx, part int, key uint64) (val []byte, found 
 // index, fetching values from the NVM table, in one read-only
 // transaction.
 func (h *HybridIndex) Scan(c *core.Ctx, part int, from uint64, n int) (keys []uint64) {
-	p := h.Parts[part]
 	c.Run(func(tx *core.Tx) {
-		keys = keys[:0]
-		p.Index.Scan(tx, from, func(k uint64, _ mem.Addr) bool {
-			if _, ok := p.Table.Get(tx, k); ok {
-				keys = append(keys, k)
-			}
-			return len(keys) < n
-		})
+		keys, _ = h.Parts[part].Scan(tx, from, n)
 	})
 	return keys
 }

@@ -156,14 +156,14 @@ func (s *Server) runCross(req *request) {
 		}
 		switch op.Kind {
 		case OpGet:
-			v, ok := st.table.Get(cms[k], op.Key)
+			v, ok := st.part.Table.Get(cms[k], op.Key)
 			req.results[i] = OpResult{Val: v, Found: ok}
 		case OpPut:
-			st.table.Put(cms[k], op.Key, op.Val)
+			st.part.Table.Put(cms[k], op.Key, op.Val)
 			puts = append(puts, op.Key)
 			req.results[i] = OpResult{Written: true}
 		case OpDel:
-			req.results[i] = OpResult{Found: st.table.Delete(cms[k], op.Key)}
+			req.results[i] = OpResult{Found: st.part.Table.Delete(cms[k], op.Key)}
 		default:
 			panic("server: scan routed to the cross-shard path")
 		}
@@ -178,7 +178,7 @@ func (s *Server) runCross(req *request) {
 	case !halted:
 		for _, key := range puts {
 			st := s.stores[shard.ShardOf(key, n)]
-			st.index.Put(st.m.Store(), key, nil)
+			st.part.Index.Put(st.m.Store(), key, nil)
 		}
 		req.applied = true
 	case decided:

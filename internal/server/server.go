@@ -178,13 +178,8 @@ func New(cfg Config) *Server {
 }
 
 // prepopulate inserts keys 1..Prepopulate, each on its home shard, and
-// persists every shard's formatted image. With one shard this is
-// exactly Store.Prepopulate.
+// persists every shard's formatted image.
 func (s *Server) prepopulate() {
-	if len(s.shards) == 1 {
-		s.stores[0].Prepopulate(s.cfg.Prepopulate, s.cfg.PrepopValueSize)
-		return
-	}
 	for k := 1; k <= s.cfg.Prepopulate; k++ {
 		s.stores[shard.ShardOf(uint64(k), len(s.shards))].PrepopulateOne(uint64(k), s.cfg.PrepopValueSize)
 	}
@@ -458,7 +453,7 @@ func (s *Server) statsJSON() []byte {
 		if t := sh.Engine().Now(); t > now {
 			now = t
 		}
-		keys += s.stores[i].table.Len(sh.Machine().Store())
+		keys += s.stores[i].part.Table.Len(sh.Machine().Store())
 	}
 	ms.Elapsed = now
 	doc := struct {

@@ -172,6 +172,26 @@ func (f *fates) truncate(seq uint64) {
 	}
 }
 
+// abandon marks every group that is still unmarked and unprepared
+// aborted, and drops their transactions from the index (Resync only).
+// Such a group belongs to a local transaction caught mid-commit by the
+// crash: replay discards it and no pre-crash transaction can append its
+// mark after recovery, so left unmarked it would stop every later
+// DisposablePrefix walk for good. Prepared 2PC groups still wait for
+// their apply mark or resolver.
+func (f *fates) abandon() {
+	for abs := f.first; abs < f.first+f.n; abs++ {
+		if g := f.at(abs); !g.marked() && g.flags&fatePrepared == 0 {
+			g.flags |= fateAborted
+		}
+	}
+	for tx, link := range f.open {
+		if f.at(link-1).flags&fateAborted != 0 {
+			delete(f.open, tx)
+		}
+	}
+}
+
 // reset empties the summary, keeping its buffer.
 func (f *fates) reset() {
 	f.first, f.n = 0, 0

@@ -3,6 +3,7 @@ package wal
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uhtm/internal/mem"
@@ -12,8 +13,10 @@ import (
 // summary replaces, kept as the reference: a first pass decodes every
 // live record and folds each transaction's marks, a second walks from
 // the tail and stops at the first record that must survive (or cannot
-// be decoded).
-func oracleDisposable(l *Log, low uint64, resolve func(uint64) bool) uint64 {
+// be decoded). Transactions in dead were left unmarked and unprepared in
+// a window rebuilt by Resync: they can never commit, so they count as
+// aborted.
+func oracleDisposable(l *Log, low uint64, resolve func(uint64) bool, dead map[uint64]bool) uint64 {
 	type fate struct {
 		lsn                          uint64
 		committed, aborted, prepared bool
@@ -44,7 +47,7 @@ func oracleDisposable(l *Log, low uint64, resolve func(uint64) bool) uint64 {
 		f := fates[r.TxID]
 		disposable := false
 		switch {
-		case f.aborted && !f.committed:
+		case (f.aborted || dead[r.TxID]) && !f.committed:
 			disposable = true
 		case f.committed:
 			disposable = f.lsn <= low
@@ -73,6 +76,7 @@ type fateSim struct {
 	inflight []uint64        // local transactions with writes but no mark yet
 	prepared []uint64        // prepare groups awaiting an apply mark
 	decided  map[uint64]bool // prepares the resolver reports decided
+	dead     map[uint64]bool // unmarked, unprepared at a Resync: never commit
 	passes   int
 	crashed  bool // a Resync has happened
 	// resyncedTruncations counts passes after a Resync that truncated
@@ -139,7 +143,7 @@ func (fs *fateSim) step() {
 func (fs *fateSim) pass() {
 	fs.passes++
 	low := uint64(fs.rng.Int63n(int64(fs.lsn) + 2))
-	want := oracleDisposable(fs.l, low, fs.resolve)
+	want := oracleDisposable(fs.l, low, fs.resolve, fs.dead)
 	got := fs.l.DisposablePrefix(low, fs.resolve)
 	if got != want {
 		fs.t.Fatalf("pass %d (low=%d, window [%d,%d)): summary truncates at %d, oracle at %d\n%s",
@@ -163,8 +167,10 @@ func (fs *fateSim) dump() string {
 // crash models a power failure: optionally a record whose control-block
 // update never became durable (the in-memory head one past the durable
 // one) and a torn slot inside the durable window, then Resync. Local
-// transactions caught mid-commit are gone for good; prepares survive
-// and may still be applied or decided.
+// transactions caught mid-commit are gone for good and become dead, as
+// does a prepare whose RecPrepare mark was torn (no coordinator can
+// decide to commit it); the other prepares survive and may still be
+// applied or decided.
 func (fs *fateSim) crash() {
 	if fs.rng.Intn(2) == 0 && fs.room(1) {
 		head := fs.l.head
@@ -175,9 +181,13 @@ func (fs *fateSim) crash() {
 		fs.l.head = head + 1
 	}
 	// A torn slot blocks truncation for good, so tear only some windows.
+	// A slot torn by an earlier crash stays torn: flipping its byte again
+	// would heal it.
 	if fs.l.Len() > 0 && fs.rng.Intn(4) == 0 {
 		seq := fs.l.Tail() + uint64(fs.rng.Int63n(int64(fs.l.Len())))
-		corruptDurable(fs.s, fs.l.slotAddr(seq)+24)
+		if _, ok := fs.l.Read(seq); ok {
+			corruptDurable(fs.s, fs.l.slotAddr(seq)+24)
+		}
 	}
 	fs.s.Crash()
 	durHead, durTail := fs.l.RecoverWindow()
@@ -188,6 +198,18 @@ func (fs *fateSim) crash() {
 	if uint64(len(recs)+torn) != fs.l.Len() {
 		fs.t.Fatalf("Resync decoded %d+%d torn slots of a %d-record window", len(recs), torn, fs.l.Len())
 	}
+	marks := map[uint64]bool{}
+	for _, r := range recs {
+		if r.Type != RecWrite {
+			marks[r.TxID] = true
+		}
+	}
+	for _, r := range recs {
+		if !marks[r.TxID] {
+			fs.dead[r.TxID] = true
+		}
+	}
+	fs.prepared = slices.DeleteFunc(fs.prepared, func(tx uint64) bool { return fs.dead[tx] })
 	fs.inflight = fs.inflight[:0]
 	fs.crashed = true
 	fs.pass()
@@ -212,6 +234,7 @@ func TestFateSummaryMatchesDecodeWalk(t *testing.T) {
 			s:       s,
 			l:       NewLog(s, mem.NVMLogBase, ctrlSize+48*RecordSize, true),
 			decided: map[uint64]bool{},
+			dead:    map[uint64]bool{},
 		}
 		for i := 0; i < steps; i++ {
 			if fs.rng.Intn(60) == 0 {
@@ -269,7 +292,40 @@ func TestFateSummaryReachesSplitGroups(t *testing.T) {
 	if got, want := l.DisposablePrefix(2, nil), uint64(1); got != want {
 		t.Errorf("prefix %d, want %d (stop at the torn slot)", got, want)
 	}
-	if got, want := l.DisposablePrefix(2, nil), oracleDisposable(l, 2, nil); got != want {
+	if got, want := l.DisposablePrefix(2, nil), oracleDisposable(l, 2, nil, nil); got != want {
 		t.Errorf("prefix %d, oracle %d", got, want)
+	}
+}
+
+// TestResyncAbandonsMidCommitGroups pins Resync's rule for groups that
+// can never be marked: a local transaction's writes without a commit or
+// abort mark are dead after recovery, wherever they sit in the window,
+// while a prepare group still waits for its apply mark. Abandoned
+// groups also leave the transaction index, so it holds only groups
+// that can still be marked.
+func TestResyncAbandonsMidCommitGroups(t *testing.T) {
+	s := newStore()
+	l := NewLog(s, mem.NVMLogBase, 1<<16, true)
+	l.Append(Record{Type: RecWrite, TxID: 1}) // mid-commit at the crash
+	l.Append(Record{Type: RecWrite, TxID: 2})
+	l.Append(Record{Type: RecPrepare, TxID: 2})
+	l.Append(Record{Type: RecWrite, TxID: 3}) // mid-commit at the crash
+	l.Append(Record{Type: RecWrite, TxID: 4})
+	l.Append(Record{Type: RecCommit, TxID: 4, LSN: 1})
+	l.Append(Record{Type: RecWrite, TxID: 5}) // mid-commit, newest group
+	s.Crash()
+	l.Resync()
+	if got, want := l.DisposablePrefix(1, nil), uint64(1); got != want {
+		t.Errorf("prefix %d, want %d (past tx 1, stop at the undecided prepare)", got, want)
+	}
+	if len(l.fates.open) != 1 {
+		t.Errorf("index holds %v, want only the prepared tx 2", l.fates.open)
+	}
+	l.Append(Record{Type: RecCommit, TxID: 2, LSN: 2})
+	if got, want := l.DisposablePrefix(2, nil), l.Head(); got != want {
+		t.Errorf("prefix %d after the apply mark, want the whole window %d", got, want)
+	}
+	if len(l.fates.open) != 0 {
+		t.Errorf("index holds %v after the apply mark, want it empty", l.fates.open)
 	}
 }

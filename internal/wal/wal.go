@@ -529,7 +529,8 @@ func (l *Log) RecoverWindow() (head, tail uint64) {
 // and its control-block update leaves the in-memory head one past the
 // durable one, and the next append would then persist a window that
 // reaches over the unacknowledged record), and the fate summary is
-// rebuilt from the durable window. It returns the window's validated
+// rebuilt from the durable window, with every unmarked, unprepared
+// group marked dead (see fates.abandon). It returns the window's validated
 // records and the number of torn slots, so recovery decodes the window
 // once for both replay and the summary.
 func (l *Log) Resync() (recs []Record, torn int) {
@@ -546,6 +547,7 @@ func (l *Log) Resync() (recs []Record, torn int) {
 		recs = append(recs, r)
 		l.fates.note(r.TxID, r.Type, r.LSN, seq)
 	}
+	l.fates.abandon()
 	return recs, torn
 }
 

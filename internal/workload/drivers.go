@@ -206,21 +206,6 @@ func makeDS(b Bench, setup txds.Mem, al *mem.Allocator, keySpace int) dsKV {
 // defaultGeometry returns the Table III machine configuration.
 func defaultGeometry() mem.Config { return mem.DefaultConfig() }
 
-// machineFor builds the engine+machine pair with enough cores for the
-// run.
-func machineFor(spec SystemSpec, cfg Config, extraThreads int) (*sim.Engine, *core.Machine) {
-	mc := defaultGeometry()
-	if cfg.Geometry != nil {
-		mc = *cfg.Geometry
-	}
-	mc.Cores = cfg.Instances*cfg.ThreadsPerInstance + cfg.MemApps + extraThreads
-	eng := sim.NewEngine(cfg.Seed)
-	if cfg.Trace {
-		eng.SetTracer(trace.NewRecorder())
-	}
-	return eng, core.NewMachine(eng, mc, spec.Opts)
-}
-
 // valueFor builds a deterministic value payload.
 func valueFor(size int, k uint64) []byte {
 	v := make([]byte, size)
@@ -230,36 +215,27 @@ func valueFor(size int, k uint64) []byte {
 	return v
 }
 
-// spawnMemApps launches the LLC-hungry background applications: each
-// sweeps random lines of a private DRAM window non-transactionally until
-// done reports true, evicting everyone else's LLC lines along the way
-// (Section III-C's graph500 observation).
-func spawnMemApps(eng *sim.Engine, m *core.Machine, cfg Config, domainBase int, done *bool) {
-	// Windows are carved from the top of usable DRAM (just below the log
-	// area), far above the arenas the benchmarks draw from.
-	cost := cfg.MemAppCost
-	if cost <= 0 {
-		cost = 1500 * sim.Picosecond
+// prepopulate hands put keys 1..Prepopulate with their deterministic
+// prepopulation values, for set-up writes outside the measured run.
+func (c Config) prepopulate(put func(k uint64, v []byte)) {
+	size := c.PrepopValueSize
+	if size <= 0 {
+		size = c.ValueSize
 	}
-	for i := 0; i < cfg.MemApps; i++ {
-		app := i
-		eng.Spawn(fmt.Sprintf("memapp%d", app), func(th *sim.Thread) {
-			c := m.NewCtx(th, domainBase+app)
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(1000+app)))
-			base := mem.DRAMLogBase - mem.Addr((app+1)*cfg.MemAppWindow)
-			for !*done {
-				c.PolluteLLC(base, cfg.MemAppWindow, 4096, cost, rng)
-			}
-		})
+	for k := 1; k <= c.Prepopulate; k++ {
+		put(uint64(k), valueFor(size, uint64(k)))
 	}
 }
 
-// prepopValue returns the value size used for prepopulation.
-func (c Config) prepopValue() int {
-	if c.PrepopValueSize > 0 {
-		return c.PrepopValueSize
+// randomBatch draws n keys uniformly from the key space, each with its
+// deterministic ValueSize-byte value.
+func (c Config) randomBatch(rng *rand.Rand, n int) []kv.KV {
+	batch := make([]kv.KV, n)
+	for i := range batch {
+		k := uint64(rng.Intn(c.KeySpace)) + 1
+		batch[i] = kv.KV{Key: k, Val: valueFor(c.ValueSize, k)}
 	}
-	return c.ValueSize
+	return batch
 }
 
 // putBatch performs one transaction of puts. HashMaps take the
@@ -268,176 +244,204 @@ func (c Config) prepopValue() int {
 // pointer splice is transactional, so hashmap transactions stay small.
 // The tree structures keep data inline (PMDK's btree/rbtree examples
 // store items in nodes), so the whole value is transactional state.
-func putBatch(c *core.Ctx, ds dsKV, keys []uint64, valueSize int) {
+func putBatch(c *core.Ctx, ds dsKV, batch []kv.KV) {
 	if h, ok := ds.(*txds.HashMap); ok {
-		refs := make([]mem.Addr, len(keys))
+		refs := make([]mem.Addr, len(batch))
 		nt := c.NT()
-		for i, k := range keys {
-			refs[i] = txds.BuildValue(nt, h.Allocator(), valueFor(valueSize, k))
+		for i, p := range batch {
+			refs[i] = txds.BuildValue(nt, h.Allocator(), p.Val)
 		}
 		c.Run(func(tx *core.Tx) {
-			for i, k := range keys {
-				h.PutRef(tx, k, refs[i])
+			for i, p := range batch {
+				h.PutRef(tx, p.Key, refs[i])
 			}
 		})
 		return
 	}
 	c.Run(func(tx *core.Tx) {
-		for _, k := range keys {
-			ds.Put(tx, k, valueFor(valueSize, k))
+		for _, p := range batch {
+			ds.Put(tx, p.Key, p.Val)
 		}
 	})
 }
 
-// runPMDK runs the consolidated PMDK micro-benchmark: cfg.Instances
-// copies of structure b (each its own conflict domain and key space),
-// cfg.ThreadsPerInstance threads per copy doing batched puts of
-// cfg.FootprintKB per transaction, plus memory-intensive apps.
-func runPMDK(spec SystemSpec, b Bench, cfg Config) Result {
-	eng, m := machineFor(spec, cfg, 0)
-	st := m.Store()
-	arenas := dataArenas(cfg)
-
-	// Per-instance structures, prepopulated outside the measured run.
-	dss := make([]dsKV, cfg.Instances)
-	for i := range dss {
-		dss[i] = makeDS(b, st, arenas[i], cfg.KeySpace)
-		for k := 1; k <= cfg.Prepopulate; k++ {
-			dss[i].Put(st, uint64(k), valueFor(cfg.prepopValue(), uint64(k)))
-		}
-	}
-
-	ops := cfg.opsPerBatch()
-	remaining := cfg.Instances * cfg.ThreadsPerInstance
-	done := false
-	var benchThreads []*sim.Thread
-	for inst := 0; inst < cfg.Instances; inst++ {
-		for t := 0; t < cfg.ThreadsPerInstance; t++ {
-			inst, t := inst, t
-			th := eng.Spawn(fmt.Sprintf("%s%d.%d", b, inst, t), func(th *sim.Thread) {
-				c := m.NewCtx(th, inst)
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(inst*100+t)))
-				ds := dss[inst]
-				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
-					keys := make([]uint64, ops)
-					for i := range keys {
-						keys[i] = uint64(rng.Intn(cfg.KeySpace)) + 1
-					}
-					putBatch(c, ds, keys, cfg.ValueSize)
-				}
-				remaining--
-				if remaining == 0 {
-					done = true
-				}
-			})
-			benchThreads = append(benchThreads, th)
-		}
-	}
-	spawnMemApps(eng, m, cfg, cfg.Instances, &done)
-	eng.Run()
-	return collect(spec, b, m, cfg, benchThreads)
+// benchRun is the skeleton every driver shares: one engine+machine with
+// a core per benchmark thread and memory app, benchmark threads spawned
+// in the driver's order (thread IDs break scheduler ties, so the order
+// is part of the result), and memory apps that run until the last
+// benchmark thread finishes.
+type benchRun struct {
+	spec      SystemSpec
+	cfg       Config
+	eng       *sim.Engine
+	m         *core.Machine
+	threads   []*sim.Thread
+	remaining int  // benchmark threads still running
+	done      bool // the last benchmark thread finished: memory apps stop
 }
 
-// collect aggregates per-domain stats over the benchmark instances and
-// measures elapsed time as the slowest benchmark thread.
-func collect(spec SystemSpec, b Bench, m *core.Machine, cfg Config, threads []*sim.Thread) Result {
+// newBenchRun builds the run's engine and machine: the Table III
+// geometry (or cfg.Geometry) with one core per thread, optionally
+// traced.
+func newBenchRun(spec SystemSpec, cfg Config) *benchRun {
+	mc := defaultGeometry()
+	if cfg.Geometry != nil {
+		mc = *cfg.Geometry
+	}
+	mc.Cores = cfg.Instances*cfg.ThreadsPerInstance + cfg.MemApps
+	eng := sim.NewEngine(cfg.Seed)
+	if cfg.Trace {
+		eng.SetTracer(trace.NewRecorder())
+	}
+	return &benchRun{
+		spec:      spec,
+		cfg:       cfg,
+		eng:       eng,
+		m:         core.NewMachine(eng, mc, spec.Opts),
+		remaining: cfg.Instances * cfg.ThreadsPerInstance,
+	}
+}
+
+// spawn starts benchmark thread t of instance inst, in the instance's
+// conflict domain and with its RNG seeded Seed+inst*100+t.
+func (r *benchRun) spawn(name string, inst, t int, body func(c *core.Ctx, rng *rand.Rand)) {
+	th := r.eng.Spawn(name, func(th *sim.Thread) {
+		body(r.m.NewCtx(th, inst), rand.New(rand.NewSource(r.cfg.Seed+int64(inst*100+t))))
+		r.remaining--
+		r.done = r.remaining == 0
+	})
+	r.threads = append(r.threads, th)
+}
+
+// finish starts the memory apps, runs the engine to completion, and
+// aggregates the instances' domain stats, with the slowest benchmark
+// thread's clock as the elapsed time.
+//
+// Each memory app is an LLC-hungry background application sweeping
+// random lines of a private DRAM window non-transactionally, evicting
+// everyone else's LLC lines along the way (Section III-C's graph500
+// observation). The windows are carved from the top of usable DRAM
+// (just below the log area), far above the benchmark arenas, and each
+// app has its own domain past the instances'.
+func (r *benchRun) finish(b Bench) Result {
+	cfg := r.cfg
+	cost := cfg.MemAppCost
+	if cost <= 0 {
+		cost = 1500 * sim.Picosecond
+	}
+	for app := 0; app < cfg.MemApps; app++ {
+		r.eng.Spawn(fmt.Sprintf("memapp%d", app), func(th *sim.Thread) {
+			c := r.m.NewCtx(th, cfg.Instances+app)
+			rng := rand.New(rand.NewSource(cfg.Seed + int64(1000+app)))
+			base := mem.DRAMLogBase - mem.Addr((app+1)*cfg.MemAppWindow)
+			for !r.done {
+				c.PolluteLLC(base, cfg.MemAppWindow, 4096, cost, rng)
+			}
+		})
+	}
+	r.eng.Run()
+
 	var agg stats.Stats
 	for d := 0; d < cfg.Instances; d++ {
-		agg.Add(m.DomainStats(d))
+		agg.Add(r.m.DomainStats(d))
 	}
-	var elapsed sim.Time
-	for _, th := range threads {
-		if th.Clock() > elapsed {
-			elapsed = th.Clock()
-		}
+	for _, th := range r.threads {
+		agg.Elapsed = max(agg.Elapsed, th.Clock())
 	}
-	agg.Elapsed = elapsed
 	return Result{
-		System:      spec.Name,
+		System:      r.spec.Name,
 		Bench:       b,
 		FootprintKB: cfg.FootprintKB,
 		Seed:        cfg.Seed,
 		Stats:       agg,
-		Elapsed:     elapsed,
-		TraceEvents: m.TraceEvents(),
+		Elapsed:     agg.Elapsed,
+		TraceEvents: r.m.TraceEvents(),
 	}
+}
+
+// idle backs a polling thread off for 5 µs of simulated time.
+func idle(c *core.Ctx) {
+	c.Thread().Advance(5 * sim.Microsecond)
+	c.Thread().Sync()
+}
+
+// BenchMixed consolidates one instance of each PMDK structure — the
+// Figure 7 configuration ("we consolidated four benchmarks with four
+// threads").
+const BenchMixed Bench = "Mixed"
+
+// runPMDK runs the consolidated PMDK micro-benchmark: cfg.Instances
+// copies of structure b (each its own conflict domain and key space;
+// for BenchMixed, instance i hosts PMDK structure i mod 4),
+// cfg.ThreadsPerInstance threads per copy doing batched puts of
+// cfg.FootprintKB per transaction, plus memory-intensive apps.
+func runPMDK(spec SystemSpec, b Bench, cfg Config) Result {
+	r := newBenchRun(spec, cfg)
+	st := r.m.Store()
+	arenas := dataArenas(cfg)
+	ops := cfg.opsPerBatch()
+	prefix := string(b)
+	for inst := 0; inst < cfg.Instances; inst++ {
+		sb := b
+		if b == BenchMixed {
+			sb, prefix = PMDKBenches()[inst%4], "mix"
+		}
+		// Prepopulated outside the measured run.
+		ds := makeDS(sb, st, arenas[inst], cfg.KeySpace)
+		cfg.prepopulate(func(k uint64, v []byte) { ds.Put(st, k, v) })
+		for t := 0; t < cfg.ThreadsPerInstance; t++ {
+			r.spawn(fmt.Sprintf("%s%d.%d", prefix, inst, t), inst, t, func(c *core.Ctx, rng *rand.Rand) {
+				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
+					putBatch(c, ds, cfg.randomBatch(rng, ops))
+				}
+			})
+		}
+	}
+	return r.finish(b)
 }
 
 // runEcho runs consolidated Echo instances: one master + N-1 clients per
 // instance; clients batch updates through rings, the master applies each
 // drained batch in one durable transaction.
 func runEcho(spec SystemSpec, cfg Config) Result {
-	eng, m := machineFor(spec, cfg, 0)
-	st := m.Store()
+	r := newBenchRun(spec, cfg)
+	st := r.m.Store()
 	dArenas, nArenas := arenasFor(cfg)
-
 	ops := cfg.opsPerBatch()
 	clients := cfg.ThreadsPerInstance - 1
-	stores := make([]*kv.Echo, cfg.Instances)
-	for i := range stores {
-		stores[i] = kv.NewEcho(st, dArenas[i], nArenas[i], hashBuckets(cfg.KeySpace), clients, 4*ops, cfg.ValueSize)
-		for k := 1; k <= cfg.Prepopulate; k++ {
-			stores[i].Table.Put(st, uint64(k), valueFor(cfg.prepopValue(), uint64(k)))
-		}
-	}
-
-	remaining := cfg.Instances * cfg.ThreadsPerInstance
-	done := false
-	var benchThreads []*sim.Thread
 	for inst := 0; inst < cfg.Instances; inst++ {
-		inst := inst
+		e := kv.NewEcho(st, dArenas[inst], nArenas[inst], hashBuckets(cfg.KeySpace), clients, 4*ops, cfg.ValueSize)
+		cfg.prepopulate(func(k uint64, v []byte) { e.Table.Put(st, k, v) })
 		clientsLeft := clients
-		// Clients.
 		for cl := 0; cl < clients; cl++ {
-			cl := cl
-			th := eng.Spawn(fmt.Sprintf("echo%d.c%d", inst, cl), func(th *sim.Thread) {
-				c := m.NewCtx(th, inst)
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(inst*100+cl)))
+			r.spawn(fmt.Sprintf("echo%d.c%d", inst, cl), inst, cl, func(c *core.Ctx, rng *rand.Rand) {
 				nt := c.NT()
 				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
-					for i := 0; i < ops; i++ {
-						k := uint64(rng.Intn(cfg.KeySpace)) + 1
-						p := kv.KV{Key: k, Val: valueFor(cfg.ValueSize, k)}
-						for !stores[inst].Rings[cl].TryPush(nt, p) {
-							th.Advance(5 * sim.Microsecond)
-							th.Sync()
+					for _, p := range cfg.randomBatch(rng, ops) {
+						for !e.Rings[cl].TryPush(nt, p) {
+							idle(c)
 						}
 					}
 				}
 				clientsLeft--
-				remaining--
-				if remaining == 0 {
-					done = true
-				}
 			})
-			benchThreads = append(benchThreads, th)
 		}
-		// Master.
-		th := eng.Spawn(fmt.Sprintf("echo%d.m", inst), func(th *sim.Thread) {
-			c := m.NewCtx(th, inst)
+		r.spawn(fmt.Sprintf("echo%d.m", inst), inst, clients, func(c *core.Ctx, _ *rand.Rand) {
 			for {
 				total := 0
 				for cl := 0; cl < clients; cl++ {
-					total += stores[inst].MasterStep(c, cl, ops)
+					total += e.MasterStep(c, cl, ops)
 				}
 				if total == 0 {
-					if clientsLeft == 0 && ringsEmpty(stores[inst], c) {
-						break
+					if clientsLeft == 0 && ringsEmpty(e, c) {
+						return
 					}
-					th.Advance(5 * sim.Microsecond)
-					th.Sync()
+					idle(c)
 				}
 			}
-			remaining--
-			if remaining == 0 {
-				done = true
-			}
 		})
-		benchThreads = append(benchThreads, th)
 	}
-	spawnMemApps(eng, m, cfg, cfg.Instances, &done)
-	eng.Run()
-	return collect(spec, BenchEcho, m, cfg, benchThreads)
+	return r.finish(BenchEcho)
 }
 
 func ringsEmpty(e *kv.Echo, c *core.Ctx) bool {
@@ -453,24 +457,18 @@ func ringsEmpty(e *kv.Echo, c *core.Ctx) bool {
 // runEchoLongRO is the Figure 8 workload: one Echo table, every thread
 // issuing single-put transactions (1 KB values), with every
 // LongROEvery-th operation replaced by a long-running read-only get
-// batch of LongROBytes.
+// batch of LongROBytes. The threads of all instances form one
+// application in one conflict domain.
 func runEchoLongRO(spec SystemSpec, cfg Config) Result {
-	eng, m := machineFor(spec, cfg, 0)
-	st := m.Store()
-	dal, nal := mem.NewAllocator(mem.DRAM), mem.NewAllocator(mem.NVM)
-	store := kv.NewEcho(st, dal, nal, 1<<15, 1, 8, cfg.ValueSize)
-	for k := 1; k <= cfg.Prepopulate; k++ {
-		store.Table.Put(st, uint64(k), valueFor(cfg.prepopValue(), uint64(k)))
-	}
+	cfg.ThreadsPerInstance *= cfg.Instances
+	cfg.Instances = 1
+	r := newBenchRun(spec, cfg)
+	st := r.m.Store()
+	e := kv.NewEcho(st, mem.NewAllocator(mem.DRAM), mem.NewAllocator(mem.NVM), 1<<15, 1, 8, cfg.ValueSize)
+	cfg.prepopulate(func(k uint64, v []byte) { e.Table.Put(st, k, v) })
 	roKeys := cfg.LongROBytes / cfg.ValueSize
-
-	threads := cfg.Instances * cfg.ThreadsPerInstance
-	var benchThreads []*sim.Thread
-	for t := 0; t < threads; t++ {
-		t := t
-		th := eng.Spawn(fmt.Sprintf("echoLR.%d", t), func(th *sim.Thread) {
-			c := m.NewCtx(th, 0) // one application, one domain
-			rng := rand.New(rand.NewSource(cfg.Seed + int64(t)))
+	for t := 0; t < cfg.ThreadsPerInstance; t++ {
+		r.spawn(fmt.Sprintf("echoLR.%d", t), 0, t, func(c *core.Ctx, rng *rand.Rand) {
 			for op := 0; op < cfg.BatchesPerThread; op++ {
 				if cfg.LongROEvery > 0 && op%cfg.LongROEvery == cfg.LongROEvery-1 {
 					// A contiguous slice of the keyspace at a random
@@ -481,210 +479,94 @@ func runEchoLongRO(spec SystemSpec, cfg Config) Result {
 					for i := range keys {
 						keys[i] = uint64((start+i)%cfg.Prepopulate) + 1
 					}
-					store.ReadOnlyBatch(c, keys)
+					e.ReadOnlyBatch(c, keys)
 					continue
 				}
-				k := uint64(rng.Intn(cfg.KeySpace)) + 1
-				v := valueFor(cfg.ValueSize, k)
+				p := cfg.randomBatch(rng, 1)[0]
 				c.Run(func(tx *core.Tx) {
-					store.Table.Put(tx, k, v)
+					e.Table.Put(tx, p.Key, p.Val)
 				})
 			}
 		})
-		benchThreads = append(benchThreads, th)
 	}
-	eng.Run()
-	ccfg := cfg
-	ccfg.Instances = 1 // one application, one conflict domain
-	return collect(spec, BenchEcho, m, ccfg, benchThreads)
+	return r.finish(BenchEcho)
 }
 
 // runHybridIndex is the Figure 9a workload: consolidated Hybrid-Index
 // stores, threads inserting batches that touch the DRAM B-Tree and the
 // NVM HashMap in one transaction.
 func runHybridIndex(spec SystemSpec, cfg Config) Result {
-	eng, m := machineFor(spec, cfg, 0)
-	st := m.Store()
+	r := newBenchRun(spec, cfg)
+	st := r.m.Store()
 	dArenas, nArenas := arenasFor(cfg)
-	stores := make([]*kv.HybridIndex, cfg.Instances)
-	for i := range stores {
-		stores[i] = kv.NewHybridIndex(st, dArenas[i], nArenas[i], hashBuckets(cfg.KeySpace), cfg.ThreadsPerInstance)
-		for _, p := range stores[i].Parts {
-			for k := 1; k <= cfg.Prepopulate; k++ {
-				p.Table.Put(st, uint64(k), valueFor(cfg.prepopValue(), uint64(k)))
-				p.Index.Put(st, uint64(k), nil)
-			}
-		}
-	}
 	ops := cfg.opsPerBatch()
-	remaining := cfg.Instances * cfg.ThreadsPerInstance
-	done := false
-	var benchThreads []*sim.Thread
 	for inst := 0; inst < cfg.Instances; inst++ {
+		h := kv.NewHybridIndex(st, dArenas[inst], nArenas[inst], hashBuckets(cfg.KeySpace), cfg.ThreadsPerInstance)
+		for _, p := range h.Parts {
+			cfg.prepopulate(func(k uint64, v []byte) { p.Put(st, k, v) })
+		}
 		for t := 0; t < cfg.ThreadsPerInstance; t++ {
-			inst, t := inst, t
-			th := eng.Spawn(fmt.Sprintf("hikv%d.%d", inst, t), func(th *sim.Thread) {
-				c := m.NewCtx(th, inst)
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(inst*100+t)))
+			r.spawn(fmt.Sprintf("hikv%d.%d", inst, t), inst, t, func(c *core.Ctx, rng *rand.Rand) {
 				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
-					pairs := make([]kv.KV, ops)
-					for i := range pairs {
-						k := uint64(rng.Intn(cfg.KeySpace)) + 1
-						pairs[i] = kv.KV{Key: k, Val: valueFor(cfg.ValueSize, k)}
-					}
-					stores[inst].PutBatch(c, t, pairs)
-				}
-				remaining--
-				if remaining == 0 {
-					done = true
+					h.PutBatch(c, t, cfg.randomBatch(rng, ops))
 				}
 			})
-			benchThreads = append(benchThreads, th)
 		}
 	}
-	spawnMemApps(eng, m, cfg, cfg.Instances, &done)
-	eng.Run()
-	return collect(spec, BenchHybridIndex, m, cfg, benchThreads)
+	return r.finish(BenchHybridIndex)
 }
 
 // runDual is the Figure 9b workload: consolidated Dual stores, half the
 // threads serving foreground puts on the DRAM map, half draining the
-// cross-referencing log into the NVM map.
+// cross-referencing log into the NVM map. Per instance the foreground
+// threads spawn before the background ones.
 func runDual(spec SystemSpec, cfg Config) Result {
-	eng, m := machineFor(spec, cfg, 0)
-	st := m.Store()
+	r := newBenchRun(spec, cfg)
+	st := r.m.Store()
 	dArenas, nArenas := arenasFor(cfg)
 	ops := cfg.opsPerBatch()
-	stores := make([]*kv.Dual, cfg.Instances)
-	for i := range stores {
-		fgParts := cfg.ThreadsPerInstance / 2
-		if fgParts == 0 {
-			fgParts = 1
-		}
-		stores[i] = kv.NewDual(st, dArenas[i], nArenas[i], hashBuckets(cfg.KeySpace), fgParts, 8*ops, cfg.ValueSize)
-		for _, p := range stores[i].Parts {
-			for k := 1; k <= cfg.Prepopulate; k++ {
-				p.Front.Put(st, uint64(k), valueFor(cfg.prepopValue(), uint64(k)))
-				p.Back.Put(st, uint64(k), valueFor(cfg.prepopValue(), uint64(k)))
-			}
-		}
-	}
-	fg := cfg.ThreadsPerInstance / 2
-	if fg == 0 {
-		fg = 1
-	}
-	bg := cfg.ThreadsPerInstance - fg
-	remaining := cfg.Instances * cfg.ThreadsPerInstance
-	done := false
-	var benchThreads []*sim.Thread
+	fg := max(cfg.ThreadsPerInstance/2, 1)
 	for inst := 0; inst < cfg.Instances; inst++ {
-		inst := inst
+		d := kv.NewDual(st, dArenas[inst], nArenas[inst], hashBuckets(cfg.KeySpace), fg, 8*ops, cfg.ValueSize)
+		for _, p := range d.Parts {
+			cfg.prepopulate(func(k uint64, v []byte) {
+				p.Front.Put(st, k, v)
+				p.Back.Put(st, k, v)
+			})
+		}
 		fgLeft := fg
 		for t := 0; t < fg; t++ {
-			t := t
-			th := eng.Spawn(fmt.Sprintf("dual%d.f%d", inst, t), func(th *sim.Thread) {
-				c := m.NewCtx(th, inst)
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(inst*100+t)))
+			r.spawn(fmt.Sprintf("dual%d.f%d", inst, t), inst, t, func(c *core.Ctx, rng *rand.Rand) {
 				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
-					pairs := make([]kv.KV, ops)
-					for i := range pairs {
-						k := uint64(rng.Intn(cfg.KeySpace)) + 1
-						pairs[i] = kv.KV{Key: k, Val: valueFor(cfg.ValueSize, k)}
-					}
-					stores[inst].FrontPut(c, t, pairs)
+					d.FrontPut(c, t, cfg.randomBatch(rng, ops))
 				}
 				fgLeft--
-				remaining--
-				if remaining == 0 {
-					done = true
-				}
 			})
-			benchThreads = append(benchThreads, th)
 		}
-		for t := 0; t < bg; t++ {
-			t := t
-			th := eng.Spawn(fmt.Sprintf("dual%d.b%d", inst, t), func(th *sim.Thread) {
-				c := m.NewCtx(th, inst)
+		for t := 0; t < cfg.ThreadsPerInstance-fg; t++ {
+			r.spawn(fmt.Sprintf("dual%d.b%d", inst, t), inst, fg+t, func(c *core.Ctx, _ *rand.Rand) {
+				part := t % fg
 				for {
-					n := stores[inst].BackendStep(c, t%fg, ops)
-					if n == 0 {
-						if fgLeft == 0 && stores[inst].Parts[t%fg].XLog.Len(c.NT()) == 0 {
-							break
+					// Poll again at once after a step that drained
+					// entries; idle only when the log was empty.
+					if d.BackendStep(c, part, ops) == 0 {
+						if fgLeft == 0 && d.Parts[part].XLog.Len(c.NT()) == 0 {
+							return
 						}
-						th.Advance(5 * sim.Microsecond)
-						th.Sync()
+						idle(c)
 					}
 				}
-				remaining--
-				if remaining == 0 {
-					done = true
-				}
 			})
-			benchThreads = append(benchThreads, th)
 		}
 	}
-	spawnMemApps(eng, m, cfg, cfg.Instances, &done)
-	eng.Run()
-	return collect(spec, BenchDual, m, cfg, benchThreads)
-}
-
-// BenchMixed consolidates one instance of each PMDK structure — the
-// Figure 7 configuration ("we consolidated four benchmarks with four
-// threads").
-const BenchMixed Bench = "Mixed"
-
-// runMixed runs the consolidated mix: instance i hosts PMDK structure
-// i mod 4.
-func runMixed(spec SystemSpec, cfg Config) Result {
-	eng, m := machineFor(spec, cfg, 0)
-	st := m.Store()
-	arenas := dataArenas(cfg)
-	benches := PMDKBenches()
-	dss := make([]dsKV, cfg.Instances)
-	for i := range dss {
-		dss[i] = makeDS(benches[i%len(benches)], st, arenas[i], cfg.KeySpace)
-		for k := 1; k <= cfg.Prepopulate; k++ {
-			dss[i].Put(st, uint64(k), valueFor(cfg.prepopValue(), uint64(k)))
-		}
-	}
-	ops := cfg.opsPerBatch()
-	remaining := cfg.Instances * cfg.ThreadsPerInstance
-	done := false
-	var benchThreads []*sim.Thread
-	for inst := 0; inst < cfg.Instances; inst++ {
-		for t := 0; t < cfg.ThreadsPerInstance; t++ {
-			inst, t := inst, t
-			th := eng.Spawn(fmt.Sprintf("mix%d.%d", inst, t), func(th *sim.Thread) {
-				c := m.NewCtx(th, inst)
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(inst*100+t)))
-				ds := dss[inst]
-				for batch := 0; batch < cfg.BatchesPerThread; batch++ {
-					keys := make([]uint64, ops)
-					for i := range keys {
-						keys[i] = uint64(rng.Intn(cfg.KeySpace)) + 1
-					}
-					putBatch(c, ds, keys, cfg.ValueSize)
-				}
-				remaining--
-				if remaining == 0 {
-					done = true
-				}
-			})
-			benchThreads = append(benchThreads, th)
-		}
-	}
-	spawnMemApps(eng, m, cfg, cfg.Instances, &done)
-	eng.Run()
-	return collect(spec, BenchMixed, m, cfg, benchThreads)
+	return r.finish(BenchDual)
 }
 
 // Run dispatches a benchmark family.
 func Run(spec SystemSpec, b Bench, cfg Config) Result {
 	switch b {
-	case BenchHashMap, BenchBTree, BenchRBTree, BenchSkipList:
+	case BenchHashMap, BenchBTree, BenchRBTree, BenchSkipList, BenchMixed:
 		return runPMDK(spec, b, cfg)
-	case BenchMixed:
-		return runMixed(spec, cfg)
 	case BenchEcho:
 		if cfg.LongROEvery > 0 {
 			return runEchoLongRO(spec, cfg)

@@ -14,8 +14,7 @@ import (
 // a fold that rebuilds the figure's table from the results. Enumeration
 // order is the fold's contract — the harness returns results in spec
 // order no matter how many ran concurrently — so tables are identical
-// at every parallelism level. The fixed-signature FigN wrappers remain
-// for callers (benchmarks, tests) that only sweep the scale knob.
+// at every parallelism level. RunExperiment is the one entry point.
 
 // scaleN shrinks a count by the experiment scale factor (minimum 1).
 // scale=1 reproduces the full-size run; CI and -short runs pass less.
@@ -60,12 +59,10 @@ func pmdkConfig(footprintKB int) Config {
 	return c
 }
 
-// Fig2 reproduces Figure 2: throughput of the LLC-Bounded HTM against
-// the Ideal unbounded HTM, 16 threads, 100 KB transactions, consolidated
-// with memory-intensive applications. The paper reports slowdowns up to
-// 6.2×.
-func Fig2(scale float64) (*stats.Table, []Result) { return mustRun("fig2", scale) }
-
+// fig2Plan reproduces Figure 2: throughput of the LLC-Bounded HTM
+// against the Ideal unbounded HTM, 16 threads, 100 KB transactions,
+// consolidated with memory-intensive applications. The paper reports
+// slowdowns up to 6.2×.
 func fig2Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	cfg := pmdkConfig(100)
 	cfg.BatchesPerThread = scaleN(cfg.BatchesPerThread, opt.Scale)
@@ -91,11 +88,9 @@ func fig2Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	return specs, fold
 }
 
-// Fig6 reproduces Figure 6: throughput of the PMDK benchmarks and Echo
-// (100 KB durable transactions, NVM data only, consolidated with two
-// memory-intensive apps), normalized to the LLC-Bounded baseline.
-func Fig6(scale float64) (*stats.Table, []Result) { return mustRun("fig6", scale) }
-
+// fig6Plan reproduces Figure 6: throughput of the PMDK benchmarks and
+// Echo (100 KB durable transactions, NVM data only, consolidated with
+// two memory-intensive apps), normalized to the LLC-Bounded baseline.
 func fig6Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	cfg := pmdkConfig(100)
 	cfg.BatchesPerThread = scaleN(cfg.BatchesPerThread, opt.Scale)
@@ -134,13 +129,11 @@ func fig6Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	return specs, fold
 }
 
-// Fig7 reproduces Figure 7: abort rates of UHTM (decomposed into true
-// conflicts, signature false positives and overflows) while sweeping
-// transaction footprint (100–500 KB) and signature size (512/1k/4k bits,
-// with and without the conflict-domain isolation), on the consolidated
-// PMDK mix.
-func Fig7(scale float64) (*stats.Table, []Result) { return mustRun("fig7", scale) }
-
+// fig7Plan reproduces Figure 7: abort rates of UHTM (decomposed into
+// true conflicts, signature false positives and overflows) while
+// sweeping transaction footprint (100–500 KB) and signature size
+// (512/1k/4k bits, with and without the conflict-domain isolation), on
+// the consolidated PMDK mix.
 func fig7Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	footprints := []int{100, 200, 300, 400, 500}
 	systems := Fig7Systems()
@@ -174,12 +167,10 @@ func fig7Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	return specs, fold
 }
 
-// Fig8 reproduces Figure 8: Echo throughput with 0.5 %–2 % long-running
-// read-only transactions (multi-MB get batches) among single-put (1 KB)
-// transactions, no memory-intensive apps. The paper reports UHTM at 4.2×
-// the bounded system's throughput at 0.5 %.
-func Fig8(scale float64) (*stats.Table, []Result) { return mustRun("fig8", scale) }
-
+// fig8Plan reproduces Figure 8: Echo throughput with 0.5 %–2 %
+// long-running read-only transactions (multi-MB get batches) among
+// single-put (1 KB) transactions, no memory-intensive apps. The paper
+// reports UHTM at 4.2× the bounded system's throughput at 0.5 %.
 func fig8Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	cfg := Config{
 		Seed:               42,
@@ -283,30 +274,24 @@ func fig9Plan(exp string, b Bench, footprints []int, opt RunOptions) ([]harness.
 	return specs, fold
 }
 
-// Fig9a reproduces Figure 9a: the Hybrid-Index key-value store (DRAM
-// B-Tree + NVM HashMap in one transaction) across 600 KB–1.5 MB
+// fig9aPlan reproduces Figure 9a: the Hybrid-Index key-value store
+// (DRAM B-Tree + NVM HashMap in one transaction) across 600 KB–1.5 MB
 // footprints and signature configurations.
-func Fig9a(scale float64) (*stats.Table, []Result) { return mustRun("fig9a", scale) }
-
 func fig9aPlan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	return fig9Plan("fig9a", BenchHybridIndex, []int{600, 900, 1200, 1500}, opt)
 }
 
-// Fig9b reproduces Figure 9b: the Dual key-value store (foreground DRAM
-// map + background NVM map via the cross-referencing log).
-func Fig9b(scale float64) (*stats.Table, []Result) { return mustRun("fig9b", scale) }
-
+// fig9bPlan reproduces Figure 9b: the Dual key-value store (foreground
+// DRAM map + background NVM map via the cross-referencing log).
 func fig9bPlan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	return fig9Plan("fig9b", BenchDual, []int{600, 900, 1200, 1500}, opt)
 }
 
-// Fig10 reproduces Figure 10: volatile (all-DRAM) transactions, undo vs
-// redo logging for LLC-overflowed DRAM lines, averaged over the 512/1k/
-// 4k-bit isolated configurations, as footprint (and thus overflow rate)
-// grows. The paper reports undo ahead by 7.5 % at 300 KB rising to
-// 44.7 % at high overflow rates.
-func Fig10(scale float64) (*stats.Table, []Result) { return mustRun("fig10", scale) }
-
+// fig10Plan reproduces Figure 10: volatile (all-DRAM) transactions,
+// undo vs redo logging for LLC-overflowed DRAM lines, averaged over the
+// 512/1k/ 4k-bit isolated configurations, as footprint (and thus
+// overflow rate) grows. The paper reports undo ahead by 7.5 % at 300 KB
+// rising to 44.7 % at high overflow rates.
 func fig10Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 	footprints := []int{100, 200, 300, 400}
 	sigs := []int{signature.Bits512, signature.Bits1K, signature.Bits4K}
@@ -351,8 +336,6 @@ func fig10Plan(opt RunOptions) ([]harness.Spec[Result], foldFunc) {
 
 // TableIII returns the simulation configuration table.
 func TableIII() *stats.Table {
-	c := DefaultConfig()
-	_ = c
 	mc := defaultGeometry()
 	tbl := &stats.Table{Header: []string{"parameter", "value"}}
 	tbl.AddRow("Processor", fmt.Sprintf("%d-core, in-order (event-driven model)", mc.Cores))

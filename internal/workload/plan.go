@@ -93,15 +93,6 @@ func RunExperiment(name string, opt RunOptions) (*stats.Table, []Result, error) 
 	return nil, nil, fmt.Errorf("workload: unknown experiment %q", name)
 }
 
-// mustRun backs the fixed-signature experiment wrappers.
-func mustRun(name string, scale float64) (*stats.Table, []Result) {
-	tbl, rs, err := RunExperiment(name, RunOptions{Scale: scale})
-	if err != nil {
-		panic(err) // unreachable: wrappers use registered names
-	}
-	return tbl, rs
-}
-
 // spec builds one harness spec: a fresh engine per Run, identity
 // metadata mirrored into the result.
 func spec(exp string, s SystemSpec, b Bench, cfg Config) harness.Spec[Result] {

@@ -42,7 +42,10 @@ func TestAblationsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations skipped in -short mode")
 	}
-	tbl, rs := Ablations(0.02)
+	tbl, rs, err := RunExperiment("ablate", RunOptions{Scale: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rs) != 8 {
 		t.Fatalf("ablations produced %d runs, want 8", len(rs))
 	}
