@@ -52,6 +52,43 @@ func TestInternalPackagesDocumented(t *testing.T) {
 	}
 }
 
+// TestOnlyWorkloadImportsCrash pins ARCHITECTURE.md §1's layering rule
+// for the fault-injection framework: internal/workload's crash plan is
+// the one package that imports internal/crash, so the simulator, the
+// cluster and the serving stack never link it. Test files are exempt —
+// the oracle checks other packages' recovery in their own tests.
+func TestOnlyWorkloadImportsCrash(t *testing.T) {
+	const crashPkg, allowed = "uhtm/internal/crash", "internal/workload"
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"`+crashPkg+`"` && filepath.ToSlash(filepath.Dir(path)) != allowed {
+				t.Errorf("%s imports %s; only %s may", path, crashPkg, allowed)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestExportedIdentifiersDocumented requires a doc comment on every
 // exported top-level identifier of every internal package — added with
 // internal/server (a network-facing API whose docs SERVING.md links

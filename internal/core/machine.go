@@ -90,10 +90,6 @@ type Options struct {
 
 	MaxRetries int // fast-path attempts before falling back to the lock
 
-	// StreamLine overrides the default streamed-miss bandwidth cost when
-	// positive (see Latencies.StreamLine).
-	StreamLine sim.Time
-
 	// Aging replaces the requester-wins/requester-loses tie-break with
 	// an age-based policy: the younger transaction (higher ID) aborts.
 	// The paper leaves the cyclic-abort livelock of requester policies
@@ -331,14 +327,10 @@ func NewMachine(eng *sim.Engine, cfg mem.Config, opts Options) *Machine {
 	if opts.SyncEvery <= 0 {
 		opts.SyncEvery = 1
 	}
-	lat := DefaultLatencies()
-	if opts.StreamLine > 0 {
-		lat.StreamLine = opts.StreamLine
-	}
 	m := &Machine{
 		cfg:          cfg,
 		opts:         opts,
-		lat:          lat,
+		lat:          DefaultLatencies(),
 		eng:          eng,
 		store:        mem.NewStore(cfg),
 		dir:          coherence.NewDirectory(),

@@ -24,12 +24,14 @@
 //
 // Injection points are named <package>.<protocol>.<step> (e.g.
 // core.commit.mark, wal.redo.append.record, mem.persist.line). A sweep
-// first runs the workload once with a counting injector to discover
-// every point and its visit count, then replays the workload once per
-// (point, visit) pair — exhaustively for small workloads, seeded-random
-// sampling for large ones. Each replay is a self-contained sim.Engine
-// world, so sweeps fan out across the internal/harness worker pool with
-// deterministic results at any parallelism.
+// (Enumerate, then RunInjection) works on a Target — a machine
+// Workload, or a cluster built by the caller — and first runs it once
+// with a counting injector to discover every point and its visit
+// count, then replays it once per (point, visit) pair — exhaustively
+// for small workloads, seeded-random sampling for large ones. Each
+// replay is a self-contained world, so sweeps fan out across the
+// internal/harness worker pool with deterministic results at any
+// parallelism.
 package crash
 
 import "sort"
@@ -42,12 +44,11 @@ type Injection struct {
 }
 
 // Injector is the hook installed at every instrumented protocol step
-// (via Machine.SetCrashpoint). In counting mode it only tallies visits;
-// armed, it halts the engine at the configured (point, visit).
+// (see Hook). In counting mode it only tallies visits; armed, it halts
+// the engine the configured (point, visit) fired in.
 type Injector struct {
 	point    string // armed point ("" = counting only)
 	visit    int    // 1-based visit to crash at
-	halt     func() // kills the simulation (sim.Engine.HaltNow)
 	fired    bool
 	disarmed bool
 	hits     map[string]int
@@ -59,16 +60,16 @@ func NewCounter() *Injector {
 	return &Injector{hits: make(map[string]int)}
 }
 
-// Arm returns an injector that halts at the given injection. The halt
-// function is bound later, when the engine exists (see Workload runs).
+// Arm returns an injector that halts at the given injection.
 func Arm(inj Injection) *Injector {
 	return &Injector{point: inj.Point, visit: inj.Visit, hits: make(map[string]int)}
 }
 
 // Hit records one visit of the named point and, when armed for exactly
-// this visit, halts the simulation. It is the func(string) installed as
-// the crashpoint hook.
-func (in *Injector) Hit(point string) {
+// this visit, calls halt — the HaltNow of the engine the point fired
+// in. It is a Hook; a single-engine caller installs it as the
+// func(string) crashpoint hook by binding halt in a closure.
+func (in *Injector) Hit(point string, halt func()) {
 	if in.disarmed {
 		return
 	}
@@ -76,17 +77,9 @@ func (in *Injector) Hit(point string) {
 	if !in.fired && in.point == point && in.hits[point] == in.visit {
 		in.fired = true
 		in.disarmed = true
-		if in.halt != nil {
-			in.halt()
-		}
+		halt()
 	}
 }
-
-// SetHalt binds the function Hit fires when the armed (point, visit) is
-// reached — normally the owning engine's HaltNow, bound once the engine
-// exists. Multi-engine sweeps (internal/shard) bind a different halt per
-// shard while sharing one injector.
-func (in *Injector) SetHalt(f func()) { in.halt = f }
 
 // Fired reports whether the armed crash was injected.
 func (in *Injector) Fired() bool { return in.fired }
@@ -98,23 +91,7 @@ func (in *Injector) Disarm() { in.disarmed = true }
 // Hits returns the visit count per point (counting mode).
 func (in *Injector) Hits() map[string]int { return in.hits }
 
-// Points returns the visited point names in sorted order.
-func (in *Injector) Points() []string {
-	out := make([]string, 0, len(in.hits))
-	for p := range in.hits {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// EnumerateHits expands a visit-count map into the exhaustive injection
-// list: one entry per (point, visit) pair, points sorted, visits
-// ascending. It is the enumeration step of a sweep, exported for sweeps
-// that assemble their own counts (internal/shard merges per-shard maps).
-func EnumerateHits(hits map[string]int) []Injection { return enumerate(hits) }
-
-// Enumerate expands visit counts into the exhaustive injection list:
+// enumerate expands visit counts into the exhaustive injection list:
 // one entry per (point, visit) pair, points sorted, visits ascending.
 func enumerate(hits map[string]int) []Injection {
 	points := make([]string, 0, len(hits))

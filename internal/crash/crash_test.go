@@ -42,17 +42,14 @@ var requiredPoints = []string{
 
 func TestInjectorCounting(t *testing.T) {
 	in := NewCounter()
-	in.Hit("a")
-	in.Hit("b")
-	in.Hit("a")
+	in.Hit("a", nil)
+	in.Hit("b", nil)
+	in.Hit("a", nil)
 	if in.Fired() {
 		t.Error("counting injector fired")
 	}
-	if got := in.Hits()["a"]; got != 2 {
-		t.Errorf("hits[a] = %d, want 2", got)
-	}
-	if got := in.Points(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Errorf("Points = %v", got)
+	if got := in.Hits(); !reflect.DeepEqual(got, map[string]int{"a": 2, "b": 1}) {
+		t.Errorf("Hits = %v", got)
 	}
 	injs := enumerate(in.Hits())
 	want := []Injection{{"a", 1}, {"a", 2}, {"b", 1}}
@@ -64,18 +61,18 @@ func TestInjectorCounting(t *testing.T) {
 func TestInjectorArming(t *testing.T) {
 	in := Arm(Injection{Point: "p", Visit: 2})
 	halted := false
-	in.halt = func() { halted = true }
-	in.Hit("p")
+	halt := func() { halted = true }
+	in.Hit("p", halt)
 	if in.Fired() || halted {
 		t.Fatal("fired on visit 1, armed for visit 2")
 	}
-	in.Hit("q")
-	in.Hit("p")
+	in.Hit("q", halt)
+	in.Hit("p", halt)
 	if !in.Fired() || !halted {
 		t.Fatal("did not fire on visit 2")
 	}
 	// Disarmed after firing: further hits are ignored.
-	in.Hit("p")
+	in.Hit("p", halt)
 	if in.Hits()["p"] != 2 {
 		t.Errorf("hits[p] = %d after disarm, want 2", in.Hits()["p"])
 	}
@@ -86,7 +83,7 @@ func TestInjectorArming(t *testing.T) {
 // recovery must satisfy the committed-prefix oracle at all of them.
 func TestExhaustiveSmallSweep(t *testing.T) {
 	w := SmallWorkload()
-	injs, hits, err := Enumerate(w)
+	injs, hits, err := Enumerate(w.Target())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +94,7 @@ func TestExhaustiveSmallSweep(t *testing.T) {
 	}
 	fails := 0
 	for _, inj := range injs {
-		o := RunInjection(w, inj)
+		o := RunInjection(w.Target(), inj)
 		if !o.OK() {
 			fails++
 			if fails <= 10 {
@@ -140,7 +137,7 @@ func TestExhaustiveRingSweep(t *testing.T) {
 	if w.ReclaimMid {
 		t.Fatal("ring workload must leave every reclamation pass to commits")
 	}
-	injs, hits, err := Enumerate(w)
+	injs, hits, err := Enumerate(w.Target())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +151,7 @@ func TestExhaustiveRingSweep(t *testing.T) {
 	}
 	fails := 0
 	for _, inj := range injs {
-		if o := RunInjection(w, inj); !o.OK() {
+		if o := RunInjection(w.Target(), inj); !o.OK() {
 			fails++
 			if fails <= 10 {
 				t.Errorf("%s visit %d: %s", inj.Point, inj.Visit, o.Verdict)
@@ -170,7 +167,7 @@ func TestExhaustiveRingSweep(t *testing.T) {
 // workload: a deterministic sample of its thousands of injection points.
 func TestSampledLargeSweep(t *testing.T) {
 	w := LargeWorkload()
-	injs, hits, err := Enumerate(w)
+	injs, hits, err := Enumerate(w.Target())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +184,7 @@ func TestSampledLargeSweep(t *testing.T) {
 		n = 6
 	}
 	for _, inj := range Sample(injs, n, 1) {
-		if o := RunInjection(w, inj); !o.OK() {
+		if o := RunInjection(w.Target(), inj); !o.OK() {
 			t.Errorf("%s visit %d: %s", inj.Point, inj.Visit, o.Verdict)
 		}
 	}
@@ -215,8 +212,8 @@ func TestSampleDeterministic(t *testing.T) {
 func TestInjectionDeterministic(t *testing.T) {
 	w := SmallWorkload()
 	inj := Injection{Point: core.PointCommitFlush, Visit: 7}
-	a := RunInjection(w, inj)
-	b := RunInjection(w, inj)
+	a := RunInjection(w.Target(), inj)
+	b := RunInjection(w.Target(), inj)
 	if a.Verdict != b.Verdict || a.Elapsed != b.Elapsed || a.Replay != b.Replay {
 		t.Errorf("nondeterministic injection: %+v vs %+v", a, b)
 	}
@@ -251,17 +248,17 @@ func TestVerifyRecoveredDetectsTamperedLine(t *testing.T) {
 // TestSweepVerifyDetectsMidCommitImageMismatch: a crash between a
 // transaction's durable commit mark and its commit-log registration
 // leaves a mid-commit transaction, whose effect the oracle rebuilds
-// from its durable redo images. The sweep's verify must reject those
+// from its durable redo images. The sweep's Recover check must reject those
 // images when they disagree with the intent the workload recorded.
 func TestSweepVerifyDetectsMidCommitImageMismatch(t *testing.T) {
 	w := SmallWorkload()
 	inj := Injection{Point: core.PointCommitFlush, Visit: 1}
-	if out := RunInjection(w, inj); !out.OK() {
+	if out := RunInjection(w.Target(), inj); !out.OK() {
 		t.Fatalf("untampered run: %s", out.Verdict)
 	}
 	in := Arm(inj)
-	st := w.build(in)
-	st.eng.Run()
+	st := w.build(in.Hit)
+	st.Run()
 	if !in.Fired() {
 		t.Fatal("injection never fired")
 	}
@@ -284,8 +281,8 @@ func TestSweepVerifyDetectsMidCommitImageMismatch(t *testing.T) {
 		st.intents[mid][la] = v ^ 1
 		break
 	}
-	detail, _ := verify(w, st)
+	detail, _ := st.Recover()
 	if want := fmt.Sprintf("mid-commit tx %d", mid); !strings.Contains(detail, want) {
-		t.Fatalf("tampered intent: verify said %q, want a report on %s", detail, want)
+		t.Fatalf("tampered intent: Recover said %q, want a report on %s", detail, want)
 	}
 }

@@ -2,6 +2,7 @@ package crash
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -12,6 +13,36 @@ import (
 	"uhtm/internal/stats"
 	"uhtm/internal/wal"
 )
+
+// Hook is what a sweep world calls at every injection point it passes:
+// the point's full name (a cluster prefixes its shard, "s<k>.") and the
+// sim.Engine.HaltNow of the engine the point fired in.
+type Hook func(point string, halt func())
+
+// Target is one subject of a crash sweep: a machine workload
+// (Workload.Target) or a cluster of them. Build must return a fresh
+// world that calls hook at every injection point and whose run is the
+// same on every call, which is what lets an enumeration pass predict
+// the injection points of every replay.
+type Target struct {
+	Name  string
+	Seed  int64
+	Build func(hook Hook) World
+}
+
+// World is one built simulation of a Target.
+type World interface {
+	// Run executes the world until it completes or the hook halts it,
+	// and returns the virtual time and machine counters at the end.
+	Run() (sim.Time, stats.Stats)
+	// Complete reports, after an uninjected run, whether the world
+	// finished all its work (nil) or why not.
+	Complete() error
+	// Recover crashes the world, runs recovery and checks the recovered
+	// state. It returns "" when every invariant holds, else the
+	// violation, plus what recovery replayed.
+	Recover() (string, wal.ReplayStats)
+}
 
 // Workload parameterizes one crash-sweep workload: a deterministic mix
 // of durable transactions over shared NVM and DRAM line pools, sized so
@@ -116,6 +147,7 @@ func pick(t, k, i, n int) int {
 // writes (keyed by hardware transaction ID), and the IDs of
 // transactions whose commit was acknowledged to the workload.
 type runState struct {
+	w        Workload
 	eng      *sim.Engine
 	m        *core.Machine
 	nvmPool  []mem.Addr
@@ -125,20 +157,26 @@ type runState struct {
 	acked    []uint64
 }
 
+// Target returns the workload as a crash-sweep target.
+func (w Workload) Target() Target {
+	return Target{Name: w.Name, Seed: w.Seed, Build: func(hook Hook) World { return w.build(hook) }}
+}
+
 // build constructs the engine, machine, pools and threads, and installs
-// the injector (which may be counting-only). Run the returned state's
-// engine to execute the workload.
-func (w Workload) build(in *Injector) *runState {
+// the hook (none when nil). Run the returned state to execute the
+// workload.
+func (w Workload) build(hook Hook) *runState {
 	eng := sim.NewEngine(w.Seed)
 	opts := core.DefaultOptions()
 	opts.TrackCommits = true
 	opts.ReserveLogArea = w.ReserveLogArea
 	m := core.NewMachine(eng, w.geometry(), opts)
-	if in != nil {
-		in.halt = eng.HaltNow
-		m.SetCrashpoint(in.Hit)
+	if hook != nil {
+		halt := eng.HaltNow
+		m.SetCrashpoint(func(point string) { hook(point, halt) })
 	}
 	st := &runState{
+		w:       w,
 		eng:     eng,
 		m:       m,
 		intents: make(map[uint64]map[mem.Addr]uint64),
@@ -221,21 +259,35 @@ func (w Workload) thread(st *runState, th *sim.Thread, t int) {
 	}
 }
 
-// Enumerate runs the workload once with a counting injector and returns
-// the exhaustive injection list plus the per-point visit counts. The
-// run must complete (no crash) with every transaction acknowledged.
-func Enumerate(w Workload) ([]Injection, map[string]int, error) {
-	in := NewCounter()
-	st := w.build(in)
-	st.eng.Run()
+// Run executes the workload until it completes or the hook halts it.
+func (st *runState) Run() (sim.Time, stats.Stats) {
+	elapsed := st.eng.Run()
+	return elapsed, *st.m.Stats()
+}
+
+// Complete reports whether every transaction was acknowledged.
+func (st *runState) Complete() error {
 	if st.eng.Halted() {
-		return nil, nil, fmt.Errorf("crash: enumeration run halted unexpectedly")
+		return errors.New("halted unexpectedly")
 	}
-	if got, want := len(st.acked), w.Threads*w.TxPerThread; got != want {
-		return nil, nil, fmt.Errorf("crash: enumeration run acked %d txs, want %d", got, want)
+	if got, want := len(st.acked), st.w.Threads*st.w.TxPerThread; got != want {
+		return fmt.Errorf("acked %d txs, want %d", got, want)
+	}
+	return nil
+}
+
+// Enumerate runs the target once with a counting injector and returns
+// the exhaustive injection list plus the per-point visit counts. The
+// run must complete (no crash).
+func Enumerate(t Target) ([]Injection, map[string]int, error) {
+	in := NewCounter()
+	w := t.Build(in.Hit)
+	w.Run()
+	if err := w.Complete(); err != nil {
+		return nil, nil, fmt.Errorf("crash: %s enumeration run %v", t.Name, err)
 	}
 	if len(in.Hits()) == 0 {
-		return nil, nil, fmt.Errorf("crash: workload fired no injection points")
+		return nil, nil, fmt.Errorf("crash: %s fired no injection points", t.Name)
 	}
 	return enumerate(in.Hits()), in.Hits(), nil
 }
@@ -277,23 +329,22 @@ type Outcome struct {
 // OK reports whether every invariant held.
 func (o Outcome) OK() bool { return o.Verdict == "ok" }
 
-// RunInjection replays the workload, kills it at the injection, runs
+// RunInjection replays the target, kills it at the injection, runs
 // recovery, and verifies the recovery invariants. It never panics on an
 // invariant violation — failures are reported in the Outcome so sweeps
 // can tabulate them.
-func RunInjection(w Workload, inj Injection) Outcome {
-	out := Outcome{Workload: w.Name, Point: inj.Point, Visit: inj.Visit, Seed: w.Seed}
+func RunInjection(t Target, inj Injection) Outcome {
+	out := Outcome{Workload: t.Name, Point: inj.Point, Visit: inj.Visit, Seed: t.Seed}
 	in := Arm(inj)
-	st := w.build(in)
-	out.Elapsed = st.eng.Run()
-	out.Stats = *st.m.Stats()
+	w := t.Build(in.Hit)
+	out.Elapsed, out.Stats = w.Run()
 	if !in.Fired() {
 		out.Verdict = fmt.Sprintf("fail: point %s visit %d never reached (saw %d visits)",
 			inj.Point, inj.Visit, in.Hits()[inj.Point])
 		return out
 	}
 	in.Disarm()
-	detail, replay := verify(w, st)
+	detail, replay := w.Recover()
 	out.Replay = replay
 	if detail == "" {
 		out.Verdict = "ok"
@@ -309,14 +360,14 @@ func dataNVM(a mem.Addr) bool {
 	return mem.KindOf(a) == mem.NVM && !mem.InLogArea(a)
 }
 
-// verify crashes the machine, recovers it, and checks the recovered
+// Recover crashes the machine, recovers it, and checks the recovered
 // state. The sweep-only checks use the ground truth the run recorded:
 // every acknowledged transaction reached the commit log, every durable
 // mid-commit mark belongs to a recorded intent whose values its durable
 // images carry, and no DRAM data survives. The image comparison itself
 // is VerifyRecovered's committed-prefix oracle. It returns "" when
 // every invariant holds, else a description of the violation.
-func verify(w Workload, st *runState) (detail string, replay wal.ReplayStats) {
+func (st *runState) Recover() (detail string, replay wal.ReplayStats) {
 	m := st.m
 
 	// An acknowledged commit always reached the commit log
@@ -374,7 +425,7 @@ func verify(w Workload, st *runState) (detail string, replay wal.ReplayStats) {
 	}
 
 	replay = m.Recover().ReplayStats
-	if d := VerifyRecovered(m, w.Threads, st.baseline); d != "" {
+	if d := VerifyRecovered(m, st.w.Threads, st.baseline); d != "" {
 		return d, replay
 	}
 

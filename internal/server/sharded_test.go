@@ -209,8 +209,8 @@ func TestHaltMidCrossRecovery(t *testing.T) {
 					baselines := shardBaselines(s)
 
 					in := crash.Arm(crash.Injection{Point: h.point, Visit: 1})
-					in.SetHalt(s.Cluster().Shards()[h.shard].Engine().HaltNow)
-					s.Cluster().SetHook(h.shard, in.Hit)
+					halt := s.Cluster().Shards()[h.shard].Engine().HaltNow
+					s.Cluster().SetHook(h.shard, func(p string) { in.Hit(p, halt) })
 					mustDo(t, c, "MULTI")
 					mustDo(t, c, "PUT", k0, "new-a")
 					mustDo(t, c, "PUT", k1, "new-b")

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"sort"
 
 	"uhtm/internal/core"
@@ -173,6 +174,31 @@ func dedupLineWrites(ws []LineWrite) []LineWrite {
 		out = append(out, w)
 	}
 	return out
+}
+
+// VerifyAtomicity checks cluster-wide 2PC atomicity after Recover: every
+// cross transaction Run issued is applied on all of its participants iff
+// it was durably decided commit (or resolved at or below the cell and
+// admitted), and on none otherwise. It returns "" when that holds, else
+// the first violation. It is the cluster half of the crash sweep's
+// check; the per-shard half is the committed-prefix oracle.
+func (c *Cluster) VerifyAtomicity(rec Recovery) string {
+	for _, tx := range c.waves {
+		expect := rec.DecidedCommit[tx.seq] || (tx.seq <= rec.Cell && tx.admitted)
+		for s, ws := range tx.writes {
+			if len(ws) == 0 {
+				continue
+			}
+			applied := inCommitLog(c.shards[s], tx.gid)
+			if expect && !applied {
+				return fmt.Sprintf("cross tx %s missing on shard %d after recovery", tx, s)
+			}
+			if !expect && applied {
+				return fmt.Sprintf("cross tx %s applied on shard %d without a durable commit decision", tx, s)
+			}
+		}
+	}
+	return ""
 }
 
 // inCommitLog reports whether the machine's tracked commit log contains

@@ -144,8 +144,8 @@ func TestSubmitCrossReadOnlySkipsProtocol(t *testing.T) {
 func TestSubmitCrossHaltBeforeDecisionVanishesEverywhere(t *testing.T) {
 	c, las, baselines := servingFixture(t, 2)
 	in := crash.Arm(crash.Injection{Point: PointPrepareLogged, Visit: 1})
-	in.SetHalt(c.Shards()[1].Engine().HaltNow)
-	c.SetHook(1, in.Hit)
+	halt := c.Shards()[1].Engine().HaltNow
+	c.SetHook(1, func(p string) { in.Hit(p, halt) })
 
 	imgs := []mem.Line{lineImg(0xC3), lineImg(0xD4)}
 	decided, halted := c.SubmitCross(oneLineEach(las, imgs))
@@ -190,8 +190,8 @@ func TestSubmitCrossHaltAfterDecisionCompletesEverywhere(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, las, baselines := servingFixture(t, 2)
 			in := crash.Arm(crash.Injection{Point: tc.point, Visit: 1})
-			in.SetHalt(c.Shards()[tc.shard].Engine().HaltNow)
-			c.SetHook(tc.shard, in.Hit)
+			halt := c.Shards()[tc.shard].Engine().HaltNow
+			c.SetHook(tc.shard, func(p string) { in.Hit(p, halt) })
 
 			imgs := []mem.Line{lineImg(0xE5), lineImg(0xF6)}
 			decided, halted := c.SubmitCross(oneLineEach(las, imgs))

@@ -2,10 +2,8 @@ package shard
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
-	"uhtm/internal/crash"
 	"uhtm/internal/stats"
 	"uhtm/internal/trace"
 )
@@ -118,84 +116,6 @@ func TestMergedTraceRemapsIdentities(t *testing.T) {
 	for id, shards := range txShards {
 		if len(shards) != 1 {
 			t.Fatalf("remapped local tx %#x claimed by %d shards", id, len(shards))
-		}
-	}
-}
-
-func TestEnumerateFindsTwoPCPoints(t *testing.T) {
-	injs, hits, err := Enumerate(SweepConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		PointPrepareLogged, PointDecisionLogged, PointApplyMark, PointApplyLine, PointResolveCkpt,
-		PointPrefixDecision + "append.record",
-		PointPrefixDecision + "append.ctrl",
-		PointPrefixDecision + "reclaim.ctrl",
-	} {
-		found := false
-		for p := range hits {
-			if strings.Contains(p, want) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("no injection point matching %q enumerated", want)
-		}
-	}
-	if len(injs) == 0 {
-		t.Fatalf("no injections enumerated")
-	}
-}
-
-// TestCrashSweepTwoPCPoints injects a crash at every (point, visit) of
-// every 2PC protocol step — the shard.* namespace — and verifies
-// recovery with the committed-prefix oracle plus cluster atomicity.
-func TestCrashSweepTwoPCPoints(t *testing.T) {
-	cfg := SweepConfig()
-	injs, _, err := Enumerate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ran := 0
-	for _, inj := range injs {
-		if !strings.Contains(inj.Point, "shard.") {
-			continue
-		}
-		out := RunInjection(cfg, inj)
-		if !out.OK() {
-			t.Errorf("%s visit %d: %s", out.Point, out.Visit, out.Verdict)
-		}
-		ran++
-	}
-	if ran == 0 {
-		t.Fatalf("no shard.* injections found")
-	}
-	t.Logf("swept %d 2PC injection points", ran)
-}
-
-// TestCrashSweepSampledMachinePoints samples the non-2PC points (the
-// underlying core.*/wal.*/mem.* protocol steps running inside a sharded
-// cluster) and verifies the same invariants there.
-func TestCrashSweepSampledMachinePoints(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sampled sweep is slow")
-	}
-	cfg := SweepConfig()
-	injs, _, err := Enumerate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rest []crash.Injection
-	for _, inj := range injs {
-		if !strings.Contains(inj.Point, "shard.") {
-			rest = append(rest, inj)
-		}
-	}
-	for _, inj := range crash.Sample(rest, 32, cfg.Seed) {
-		if out := RunInjection(cfg, inj); !out.OK() {
-			t.Errorf("%s visit %d: %s", out.Point, out.Visit, out.Verdict)
 		}
 	}
 }

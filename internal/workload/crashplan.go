@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -9,8 +10,11 @@ import (
 
 	"uhtm/internal/crash"
 	"uhtm/internal/harness"
+	"uhtm/internal/mem"
 	"uhtm/internal/shard"
+	"uhtm/internal/sim"
 	"uhtm/internal/stats"
+	"uhtm/internal/wal"
 )
 
 // crashSamplesFullScale is the seeded-random sample size drawn from the
@@ -37,132 +41,177 @@ const shardSamplesFullScale = 32
 // them per injection point.
 func RunCrashSweep(opt RunOptions) (*stats.Table, []Result, error) {
 	type job struct {
-		w   crash.Workload
-		inj crash.Injection
+		t      crash.Target
+		shards int // cluster size of the target (0: one machine)
+		inj    crash.Injection
 	}
 	var jobs []job
+	add := func(t crash.Target, shards int, injs []crash.Injection) {
+		for _, inj := range injs {
+			jobs = append(jobs, job{t, shards, inj})
+		}
+	}
 
 	small := crash.SmallWorkload()
 	large := crash.LargeWorkload()
 	ring := crash.RingWorkload()
+	scfg := shard.SweepConfig()
 	if opt.seedOverride() {
 		small.Seed = opt.Seed
 		large.Seed = opt.Seed
 		ring.Seed = opt.Seed
-	}
-
-	smallInjs, _, err := crash.Enumerate(small)
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, inj := range smallInjs {
-		jobs = append(jobs, job{small, inj})
-	}
-
-	largeInjs, _, err := crash.Enumerate(large)
-	if err != nil {
-		return nil, nil, err
+		scfg.Seed = opt.Seed
 	}
 	scale := opt.Scale
 	if scale <= 0 {
 		scale = 1.0
 	}
-	n := int(math.Ceil(crashSamplesFullScale * scale))
-	if n < 4 {
-		n = 4
-	}
-	for _, inj := range crash.Sample(largeInjs, n, large.Seed) {
-		jobs = append(jobs, job{large, inj})
+	sampleSize := func(fullScale float64) int {
+		return max(int(math.Ceil(fullScale*scale)), 4)
 	}
 
-	scfg := shard.SweepConfig()
-	if opt.seedOverride() {
-		scfg.Seed = opt.Seed
-	}
-	shardInjs, _, err := shard.Enumerate(scfg)
+	smallInjs, _, err := crash.Enumerate(small.Target())
 	if err != nil {
 		return nil, nil, err
 	}
-	var twoPC, machine []crash.Injection
-	for _, inj := range shardInjs {
+	add(small.Target(), 0, smallInjs)
+
+	largeInjs, _, err := crash.Enumerate(large.Target())
+	if err != nil {
+		return nil, nil, err
+	}
+	add(large.Target(), 0, crash.Sample(largeInjs, sampleSize(crashSamplesFullScale), large.Seed))
+
+	cluster := clusterTarget(scfg)
+	shardInjs, _, err := crash.Enumerate(cluster)
+	if err != nil {
+		return nil, nil, err
+	}
+	twoPC, machine := splitTwoPC(shardInjs)
+	add(cluster, scfg.Shards, twoPC)
+	add(cluster, scfg.Shards, crash.Sample(machine, sampleSize(shardSamplesFullScale), scfg.Seed))
+
+	// The small-ring workload goes last, so the records of the others
+	// keep their positions.
+	ringInjs, _, err := crash.Enumerate(ring.Target())
+	if err != nil {
+		return nil, nil, err
+	}
+	add(ring.Target(), 0, ringInjs)
+
+	specs := make([]harness.Spec[Result], len(jobs))
+	for i, j := range jobs {
+		specs[i] = harness.Spec[Result]{
+			Experiment: "crash",
+			System:     j.t.Name,
+			Bench:      j.inj.Point,
+			Seed:       j.t.Seed,
+			Run: func() Result {
+				start := time.Now()
+				o := crash.RunInjection(j.t, j.inj)
+				return Result{
+					Experiment: "crash",
+					System:     o.Workload,
+					Bench:      Bench(o.Point),
+					Seed:       o.Seed,
+					Stats:      o.Stats,
+					Elapsed:    o.Elapsed,
+					Wall:       time.Since(start),
+					Point:      o.Point,
+					Visit:      o.Visit,
+					Verdict:    o.Verdict,
+					Shards:     j.shards,
+				}
+			},
+		}
+	}
+	results := harness.Execute(specs, opt.Par)
+	return foldCrash(results), results, nil
+}
+
+// splitTwoPC separates a cluster's injections into the 2PC protocol's
+// own points (shard.*, swept exhaustively) and the machine-level points
+// running underneath them (sampled).
+func splitTwoPC(injs []crash.Injection) (twoPC, machine []crash.Injection) {
+	for _, inj := range injs {
 		if strings.Contains(inj.Point, "shard.") {
 			twoPC = append(twoPC, inj)
 		} else {
 			machine = append(machine, inj)
 		}
 	}
-	nShard := int(math.Ceil(shardSamplesFullScale * scale))
-	if nShard < 4 {
-		nShard = 4
-	}
-	shardJobs := append(twoPC, crash.Sample(machine, nShard, scfg.Seed)...)
+	return twoPC, machine
+}
 
-	ringInjs, _, err := crash.Enumerate(ring)
-	if err != nil {
-		return nil, nil, err
+// clusterTarget is the 2PC cluster as a crash-sweep target. Its worlds
+// hook every shard into the one sweep hook, each point named
+// "s<k>.<point>" and halting shard k's engine; the verification is the
+// committed-prefix oracle on every shard plus the cluster's cross
+// transaction atomicity (Cluster.VerifyAtomicity).
+func clusterTarget(cfg shard.Config) crash.Target {
+	// The shards' hooks share one injector, so the shards must run one
+	// at a time.
+	cfg.Par = 1
+	return crash.Target{
+		Name: fmt.Sprintf("shard-%dx%d", cfg.Shards, cfg.CoresPerShard),
+		Seed: cfg.Seed,
+		Build: func(hook crash.Hook) crash.World {
+			w := &clusterWorld{c: shard.New(cfg), mid: cfg.CoresPerShard + cfg.CrossPerRound}
+			for k, sh := range w.c.Shards() {
+				w.baselines = append(w.baselines, crash.Baseline(sh.Machine()))
+				prefix, halt := fmt.Sprintf("s%d.", k), sh.Engine().HaltNow
+				w.c.SetHook(k, func(point string) { hook(prefix+point, halt) })
+			}
+			return w
+		},
 	}
+}
 
-	specs := make([]harness.Spec[Result], 0, len(jobs)+len(shardJobs)+len(ringInjs))
-	machineSpec := func(j job) harness.Spec[Result] {
-		return harness.Spec[Result]{
-			Experiment: "crash",
-			System:     j.w.Name,
-			Bench:      j.inj.Point,
-			Seed:       j.w.Seed,
-			Run: func() Result {
-				start := time.Now()
-				o := crash.RunInjection(j.w, j.inj)
-				return Result{
-					Experiment: "crash",
-					System:     o.Workload,
-					Bench:      Bench(o.Point),
-					Seed:       o.Seed,
-					Stats:      o.Stats,
-					Elapsed:    o.Elapsed,
-					Wall:       time.Since(start),
-					Point:      o.Point,
-					Visit:      o.Visit,
-					Verdict:    o.Verdict,
-				}
-			},
+// clusterWorld is one built cluster of clusterTarget.
+type clusterWorld struct {
+	c         *shard.Cluster
+	mid       int                     // per-shard mid-commit bound of the oracle (see Recover)
+	baselines []map[mem.Addr]mem.Line // per shard, after prepopulation
+	res       shard.Result
+}
+
+// Run executes the cluster's rounds until they finish or the hook halts
+// a shard.
+func (w *clusterWorld) Run() (sim.Time, stats.Stats) {
+	w.res = w.c.Run()
+	return w.res.Elapsed, w.res.Stats
+}
+
+// Complete reports whether an uninjected run finished every round.
+func (w *clusterWorld) Complete() error {
+	if w.res.Halted {
+		return errors.New("halted unexpectedly")
+	}
+	return nil
+}
+
+// Recover runs cross-shard recovery and checks it. The mid-commit bound
+// of each shard's oracle covers one local transaction per core plus the
+// wave's cross transactions; the completion pass registers every cross
+// apply, so those never count as mid-commit.
+func (w *clusterWorld) Recover() (string, wal.ReplayStats) {
+	rec := w.c.Recover()
+	var replay wal.ReplayStats
+	for _, rs := range rec.PerShard {
+		replay.CommittedTx += rs.CommittedTx
+		replay.AppliedLines += rs.AppliedLines
+		replay.DiscardedTx += rs.DiscardedTx
+		replay.DiscardedRecs += rs.DiscardedRecs
+		replay.TornRecs += rs.TornRecs
+		replay.StaleTx += rs.StaleTx
+		replay.StaleRecs += rs.StaleRecs
+	}
+	for k, sh := range w.c.Shards() {
+		if d := crash.VerifyRecovered(sh.Machine(), w.mid, w.baselines[k]); d != "" {
+			return fmt.Sprintf("shard %d: %s", k, d), replay
 		}
 	}
-	for _, j := range jobs {
-		specs = append(specs, machineSpec(j))
-	}
-	for _, inj := range shardJobs {
-		inj := inj
-		specs = append(specs, harness.Spec[Result]{
-			Experiment: "crash",
-			System:     fmt.Sprintf("shard-%dx%d", scfg.Shards, scfg.CoresPerShard),
-			Bench:      inj.Point,
-			Seed:       scfg.Seed,
-			Run: func() Result {
-				start := time.Now()
-				o := shard.RunInjection(scfg, inj)
-				return Result{
-					Experiment: "crash",
-					System:     o.Workload,
-					Bench:      Bench(o.Point),
-					Seed:       o.Seed,
-					Stats:      o.Stats,
-					Elapsed:    o.Elapsed,
-					Wall:       time.Since(start),
-					Point:      o.Point,
-					Visit:      o.Visit,
-					Verdict:    o.Verdict,
-					Shards:     scfg.Shards,
-				}
-			},
-		})
-	}
-	// The small-ring workload goes last, so the records of the others
-	// keep their positions.
-	for _, inj := range ringInjs {
-		specs = append(specs, machineSpec(job{ring, inj}))
-	}
-	results := harness.Execute(specs, opt.Par)
-	return foldCrash(results), results, nil
+	return w.c.VerifyAtomicity(rec), replay
 }
 
 // foldCrash tabulates injections and failures per point.

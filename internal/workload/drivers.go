@@ -49,9 +49,8 @@ type Config struct {
 
 	Persistent bool // data in NVM (durable txs) vs DRAM (volatile txs)
 
-	MemApps      int      // LLC-hungry background threads (own domains)
-	MemAppWindow int      // bytes each sweeps over
-	MemAppCost   sim.Time // per-line streaming cost (bandwidth model)
+	MemApps      int // LLC-hungry background threads (own domains)
+	MemAppWindow int // bytes each sweeps over
 
 	// Long-running read-only transactions (Fig. 8): every LongROEvery-th
 	// operation on a thread is a read-only batch of LongROBytes instead
@@ -84,9 +83,12 @@ func DefaultConfig() Config {
 		Persistent:         true,
 		MemApps:            2,
 		MemAppWindow:       32 << 20,
-		MemAppCost:         120 * sim.Picosecond,
 	}
 }
+
+// memAppCost is a memory app's per-line streaming cost, the bandwidth
+// model of its LLC sweeps.
+const memAppCost = 120 * sim.Picosecond
 
 // Result carries one (system, benchmark) measurement. Experiment and
 // Wall are filled in by the harness plan layer (see plan.go); the rest
@@ -325,17 +327,13 @@ func (r *benchRun) spawn(name string, inst, t int, body func(c *core.Ctx, rng *r
 // app has its own domain past the instances'.
 func (r *benchRun) finish(b Bench) Result {
 	cfg := r.cfg
-	cost := cfg.MemAppCost
-	if cost <= 0 {
-		cost = 1500 * sim.Picosecond
-	}
 	for app := 0; app < cfg.MemApps; app++ {
 		r.eng.Spawn(fmt.Sprintf("memapp%d", app), func(th *sim.Thread) {
 			c := r.m.NewCtx(th, cfg.Instances+app)
 			rng := rand.New(rand.NewSource(cfg.Seed + int64(1000+app)))
 			base := mem.DRAMLogBase - mem.Addr((app+1)*cfg.MemAppWindow)
 			for !r.done {
-				c.PolluteLLC(base, cfg.MemAppWindow, 4096, cost, rng)
+				c.PolluteLLC(base, cfg.MemAppWindow, 4096, memAppCost, rng)
 			}
 		})
 	}

@@ -65,42 +65,6 @@ func TestHarnessParallelismIsInvisible(t *testing.T) {
 	}
 }
 
-// TestRunExperimentParDeterminism: a real registered experiment (fig2,
-// reduced scale) produces a byte-identical table and identical JSON at
-// -par 1 and -par 8.
-func TestRunExperimentParDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("reduced-scale fig2 pair skipped in -short mode")
-	}
-	opt := RunOptions{Scale: 0.02, Seed: 7}
-	opt.Par = 1
-	tbl1, rs1, err := RunExperiment("fig2", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Par = 8
-	tbl8, rs8, err := RunExperiment("fig2", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl1.Format() != tbl8.Format() {
-		t.Errorf("tables differ between -par 1 and -par 8:\n%s\n%s", tbl1.Format(), tbl8.Format())
-	}
-	j1, _ := json.Marshal(stripWall(rs1))
-	j8, _ := json.Marshal(stripWall(rs8))
-	if !bytes.Equal(j1, j8) {
-		t.Errorf("JSON records differ between -par 1 and -par 8")
-	}
-	for _, r := range rs1 {
-		if r.Experiment != "fig2" {
-			t.Errorf("result experiment = %q, want fig2", r.Experiment)
-		}
-		if r.Seed != 7 {
-			t.Errorf("seed override not threaded: result seed = %d, want 7", r.Seed)
-		}
-	}
-}
-
 // TestSeedChangesResults: the -seed override must actually reach the
 // simulation — different seeds give different schedules.
 func TestSeedChangesResults(t *testing.T) {
