@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"uhtm/internal/mem"
@@ -42,6 +44,17 @@ func measureTxAllocs(t *testing.T, warmup, measured int, body func(tx *Tx, i int
 		for i = 0; i < warmup; i++ {
 			c.Run(run)
 		}
+		// Mallocs is process-wide, so the runtime's own allocations
+		// inside the window are charged to the transactions: a GC cycle
+		// allocates (mark-termination sudogs), and so does starting a
+		// new OS thread, which the world restart in ReadMemStats or GC
+		// may do when a P is idle. A tight GOGC or GOMEMLIMIT or a loaded
+		// host makes either routine. As in testing.AllocsPerRun, one P
+		// leaves no P idle; the collector stays off for the window, as
+		// the transactions allocate nothing it would collect.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		defer debug.SetMemoryLimit(debug.SetMemoryLimit(math.MaxInt64))
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
